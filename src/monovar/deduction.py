@@ -19,6 +19,7 @@ from .words import (
     Letter,
     Substitution,
     Word,
+    iter_matches,
     letter_key,
     parse_word,
     substitute,
@@ -216,27 +217,9 @@ def format_deduction(d: Deduction) -> str:
 def _match_pattern(pattern: Sequence[Letter], target: Word) -> list[dict[Letter, Word]]:
     """All substitutions xi with xi(pattern) equal to target. Letters may
     map to the empty word."""
-    found: list[dict[Letter, Word]] = []
-
-    def walk(i: int, pos: int, bound: dict[Letter, Word]) -> None:
-        if i == len(pattern):
-            if pos == len(target):
-                found.append(dict(bound))
-            return
-        letter = pattern[i]
-        image = bound.get(letter)
-        if image is not None:
-            stop = pos + len(image)
-            if target.letters[pos:stop] == image.letters:
-                walk(i + 1, stop, bound)
-            return
-        for stop in range(pos, len(target) + 1):
-            bound[letter] = target[pos:stop]
-            walk(i + 1, stop, bound)
-        del bound[letter]
-
-    walk(0, 0, {})
-    return found
+    n = len(target)
+    return [{letter: Word(image) for letter, image in xi.items()}
+            for stop, xi in iter_matches(pattern, target.letters) if stop == n]
 
 
 def _successors(w: Word, system: Sequence[Identity], max_len: int):

@@ -4,9 +4,9 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from typing import Iterator, Mapping, Optional
+from typing import Mapping, Optional
 
-from .words import Identity, Letter, Word, letter_key
+from .words import Identity, Letter, Word, iter_matches, letter_key
 
 
 class Monoid:
@@ -51,25 +51,42 @@ class Monoid:
             acc = self.table[acc][assignment[letter]]
         return acc
 
-    def _assignments(self, letters: tuple[Letter, ...]) -> Iterator[dict[Letter, int]]:
-        for values in itertools.product(range(len(self)), repeat=len(letters)):
-            yield dict(zip(letters, values))
-
     def sorted_letters(self, ident: Identity) -> tuple[Letter, ...]:
         return tuple(sorted(ident.content(), key=letter_key))
 
-    def find_violation(self, ident: Identity,
-                       max_letters: int = 4) -> Optional[dict[Letter, int]]:
-        """First assignment on which the two sides evaluate differently."""
+    def _capped_letters(self, ident: Identity,
+                        max_letters: int) -> tuple[Letter, ...]:
         letters = self.sorted_letters(ident)
         if len(letters) > max_letters:
             raise ValueError(
                 f"identity {ident} uses {len(letters)} letters, above the "
                 f"cap of {max_letters}; pass a larger max_letters to allow "
                 f"{len(self)}**{len(letters)} evaluations")
-        for assignment in self._assignments(letters):
-            if self.evaluate(ident.lhs, assignment) != self.evaluate(ident.rhs, assignment):
-                return assignment
+        return letters
+
+    def find_violation(self, ident: Identity,
+                       max_letters: int = 4) -> Optional[dict[Letter, int]]:
+        """First assignment on which the two sides evaluate differently."""
+        letters = self._capped_letters(ident, max_letters)
+        return self._first_violation(ident, letters)
+
+    def _first_violation(self, ident: Identity,
+                         letters: tuple[Letter, ...]) -> Optional[dict[Letter, int]]:
+        """Brute force over all len(self)**len(letters) assignments, the
+        last letter's value changing fastest; the reference every faster
+        check is tested against."""
+        slot = {letter: i for i, letter in enumerate(letters)}
+        lhs = [slot[letter] for letter in ident.lhs]
+        rhs = [slot[letter] for letter in ident.rhs]
+        table, unit = self.table, self.identity_index
+        for values in itertools.product(range(len(self)), repeat=len(letters)):
+            left = right = unit
+            for i in lhs:
+                left = table[left][values[i]]
+            for i in rhs:
+                right = table[right][values[i]]
+            if left != right:
+                return dict(zip(letters, values))
         return None
 
     def satisfies(self, ident: Identity, max_letters: int = 4) -> bool:
@@ -118,9 +135,49 @@ class ReesQuotient(Monoid):
             row.append(zero)
         super().__init__(f"S({','.join(str(w) for w in ws)})", labels, table)
         self.words = ws
-        self.word = ws[0]
         self.zero_index = zero
-        self.element_words = words  # parallel to labels[:-1]
+
+    def find_violation(self, ident: Identity,
+                       max_letters: int = 4) -> Optional[dict[Letter, int]]:
+        """First assignment on which the two sides evaluate differently.
+
+        Factor matching decides whether there is one; brute force then
+        finds the first, so a refuted identity reports the same assignment
+        as Monoid.find_violation.
+        """
+        letters = self._capped_letters(ident, max_letters)
+        if not self._refutes(ident):
+            return None
+        hit = self._first_violation(ident, letters)
+        assert hit is not None, f"{self.name}: matching refutes {ident}"
+        return hit
+
+    def satisfies(self, ident: Identity, max_letters: int = 4) -> bool:
+        """Factor matching alone: no witness is needed."""
+        self._capped_letters(ident, max_letters)
+        return not self._refutes(ident)
+
+    def _refutes(self, ident: Identity) -> bool:
+        """S(W) satisfies u = v exactly when u and v have the same content
+        and every substitution mapping one side onto a factor of a
+        generator maps the other side onto the same factor (Jackson and
+        Sapir, Finitely based, finite sets of words, 2000)."""
+        u, v = ident.lhs, ident.rhs
+        return (u.content() != v.content() or self._moves_a_factor(u, v)
+                or self._moves_a_factor(v, u))
+
+    def _moves_a_factor(self, u: Word, v: Word) -> bool:
+        """Whether some substitution maps u onto a factor of a generator
+        and v onto a different word."""
+        for w in self.words:
+            target = w.letters
+            for start in range(len(target)):
+                for stop, xi in iter_matches(u.letters, target, start):
+                    image = tuple(itertools.chain.from_iterable(
+                        xi[letter] for letter in v.letters))
+                    if image != target[start:stop]:
+                        return True
+        return False
 
     def letter_index(self, letter: Letter) -> int:
         """Index of the one-letter subword, or of zero if absent."""
@@ -130,11 +187,6 @@ class ReesQuotient(Monoid):
 @lru_cache(maxsize=256)
 def rees_quotient(*ws: Word) -> ReesQuotient:
     return ReesQuotient(*ws)
-
-
-def oracle_decide(ws, ident: Identity, max_letters: int = 4) -> bool:
-    """Exact membership of ident in the variety generated by S(ws)."""
-    return rees_quotient(*ws).satisfies(ident, max_letters)
 
 
 def _monoid_from_products(name: str, labels: list[str],

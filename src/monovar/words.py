@@ -37,6 +37,11 @@ def L(text: str) -> Letter:
 
 _TERM = re.compile(r"([a-z])(\d*)(?:\^(\d+))?")
 
+# Longest word parse_word builds: far above the 245 letters of the longest
+# catalog word, delta(120, 120), and low enough that x^999999999 fails at
+# once instead of expanding.
+MAX_WORD_LENGTH = 10_000
+
 
 class Word:
     """Immutable finite word. The empty word renders as "1"."""
@@ -145,7 +150,8 @@ def parse_word(text: str) -> Word:
 
     A term is a lowercase letter, optional digits (the letter index) and an
     optional positive exponent, e.g. "x", "y12", "x^3".  Whitespace is
-    ignored.  A zero exponent is a syntax error.
+    ignored.  A zero exponent is a syntax error, and so is a word longer
+    than MAX_WORD_LENGTH letters.
     """
     squeezed = re.sub(r"\s+", "", text)
     if squeezed == "1":
@@ -165,9 +171,18 @@ def parse_word(text: str) -> Word:
             count = int(exp)
             if count == 0:
                 raise ValueError(f"zero exponent in {text!r}")
+            if len(letters) + count > MAX_WORD_LENGTH:
+                raise _too_long(text)
         letters.extend([letter] * count)
         pos = m.end()
+    if len(letters) > MAX_WORD_LENGTH:
+        raise _too_long(text)
     return Word(letters)
+
+
+def _too_long(text: str) -> ValueError:
+    return ValueError(f"word longer than {MAX_WORD_LENGTH} letters "
+                      f"in {text[:40]!r}")
 
 
 Substitution = Mapping[Letter, Word]
@@ -221,6 +236,57 @@ def parse_identity(text: str) -> Identity:
 
 def identity(lhs: str, rhs: str) -> Identity:
     return Identity(parse_word(lhs), parse_word(rhs))
+
+
+def iter_matches(
+    pattern: Sequence[Letter], target: Sequence[Letter], start: int = 0,
+) -> Iterator[tuple[int, dict[Letter, tuple[Letter, ...]]]]:
+    """Every substitution xi with xi(pattern) == target[start:stop], for any
+    stop, as (stop, xi).  Letters may map to the empty word; images are
+    slices of target.
+
+    Matches come depth first: the earliest pattern letter that is free to
+    choose takes its shorter images first.  The yielded dict is reused and
+    changes when the generator resumes, so copy it to keep it.
+    """
+    target = tuple(target)
+    m, n = len(pattern), len(target)
+    bound: dict[Letter, tuple[Letter, ...]] = {}
+    # One frame per matched pattern position: where its image starts and
+    # stops, and whether the letter was first bound there (only such a
+    # frame can take a longer image when the search backtracks).
+    frames: list[tuple[int, int, bool]] = []
+    pos = start
+    while True:
+        i = len(frames)
+        if i == m:
+            yield pos, bound
+        else:
+            letter = pattern[i]
+            image = bound.get(letter)
+            if image is None:
+                bound[letter] = ()
+                frames.append((pos, pos, True))
+                continue
+            stop = pos + len(image)
+            if target[pos:stop] == image:
+                frames.append((pos, stop, False))
+                pos = stop
+                continue
+        while frames:
+            begin, stop, free = frames.pop()
+            if not free:
+                continue
+            letter = pattern[len(frames)]
+            if stop < n:
+                stop += 1
+                bound[letter] = target[begin:stop]
+                frames.append((begin, stop, True))
+                pos = stop
+                break
+            del bound[letter]
+        else:
+            return
 
 
 def iter_words(alphabet: Sequence[Letter], max_len: int, min_len: int = 0) -> Iterator[Word]:

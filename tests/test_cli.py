@@ -1,5 +1,6 @@
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -196,6 +197,14 @@ def test_deduce_requires_file_or_goal(capsys):
 def test_bad_word_is_a_usage_error(capsys):
     code, _, err = run(capsys, "decompose", "x0y!")
     assert code == 2 and "error:" in err
+
+
+def test_huge_exponent_is_a_usage_error(capsys):
+    started = time.perf_counter()
+    code, _, err = run(capsys, "decide", "--variety", "E",
+                       "--identity", "x^999999999 = x")
+    assert code == 2 and "error: word longer than" in err
+    assert time.perf_counter() - started < 1.0
 
 
 def test_unknown_subcommand_exits_with_usage_error():

@@ -1,9 +1,29 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from monovar.catalog import IDENTITY_20, PHI, SIGMA1, SIGMA2
-from monovar.monoids import ReesQuotient, b21, k5, named_monoid, p1, rees_quotient
-from monovar.words import L, Word, identity, parse_word
+from monovar.catalog import (
+    IDENTITY_20,
+    ORACLE_WORD_L,
+    ORACLE_WORD_M,
+    PHI,
+    SIGMA1,
+    SIGMA2,
+    c_oracle_word,
+    d_oracle_word,
+)
+from monovar.deciders import decide, parse_variety, semi_decide_d
+from monovar.monoids import (
+    Monoid,
+    ReesQuotient,
+    b21,
+    k5,
+    named_monoid,
+    p1,
+    rees_quotient,
+)
+from monovar.words import Identity, L, Word, identity, parse_word
 
 
 def test_fixed_monoids_are_monoids():
@@ -76,6 +96,77 @@ def test_satisfies_letter_cap():
     with pytest.raises(ValueError):
         m.satisfies(five)
     assert not m.satisfies(five, max_letters=5)
+    with pytest.raises(ValueError, match="above the cap of 4"):
+        rees_quotient(parse_word("xy")).satisfies(five)
+
+
+DIFFERENTIAL_QUOTIENTS = [
+    *(rees_quotient(parse_word(w)) for w in ("xx", "xy", "xyx", "xyxy")),
+    rees_quotient(parse_word("xy"), parse_word("yx")),
+    rees_quotient(ORACLE_WORD_L),
+    rees_quotient(ORACLE_WORD_M),
+    *(rees_quotient(d_oracle_word(k)) for k in (2, 3, 4)),
+    rees_quotient(c_oracle_word(4)),
+]
+
+
+def _edited_identity(rng: random.Random) -> Identity:
+    """A word on up to three letters against a different word: an edit of
+    it (a swap, an insertion or a deletion, which may change the content)
+    or a fresh word."""
+    letters = [L(c) for c in "xyz"[:rng.randint(1, 3)]]
+    u = [rng.choice(letters) for _ in range(rng.randint(1, 7))]
+    v = list(u)
+    while v == u:
+        i = rng.randrange(len(v) + 1)
+        edit = rng.randrange(5)
+        if edit == 0 and 0 < i < len(v):
+            v[i - 1], v[i] = v[i], v[i - 1]
+        elif edit == 1:
+            v.insert(i, rng.choice(letters))
+        elif edit == 2 and len(v) > 1 and i < len(v):
+            del v[i]
+        elif edit == 3 and i < len(v):
+            v.insert(i, v[i])
+        else:
+            v = [rng.choice(letters) for _ in range(rng.randint(1, 7))]
+    return Identity(Word(u), Word(v))
+
+
+def test_factor_matching_agrees_with_brute_force():
+    """ReesQuotient decides by factor matching; the table brute force of
+    Monoid.find_violation is its reference, down to the first refuting
+    assignment."""
+    rng = random.Random(5003)
+    holds = mixed = 0
+    for n in range(6000):
+        quotient = DIFFERENTIAL_QUOTIENTS[n % len(DIFFERENTIAL_QUOTIENTS)]
+        ident = _edited_identity(rng)
+        fast = quotient.find_violation(ident)
+        assert fast == Monoid.find_violation(quotient, ident), (
+            quotient.name, str(ident))
+        assert quotient.satisfies(ident) == (fast is None)
+        holds += fast is None
+        mixed += ident.lhs.content() != ident.rhs.content()
+    assert holds > 1000 and mixed > 500, (holds, mixed)
+
+
+def test_quotients_decide_sigma1_without_brute_force(monkeypatch):
+    """sigma1 in L, in L~ and in the first three D oracles is decided
+    without enumerating assignments in a quotient; B21, a plain table,
+    still enumerates."""
+    brute_force = Monoid._first_violation
+
+    def guarded(self, ident, letters):
+        if isinstance(self, ReesQuotient):
+            raise AssertionError(f"brute force in {self.name} on {ident}")
+        return brute_force(self, ident, letters)
+
+    monkeypatch.setattr(Monoid, "_first_violation", guarded)
+    holds = "holds [oracle: holds in S(xzxyty) under every substitution]"
+    assert str(decide(parse_variety("L"), SIGMA1)) == holds
+    assert str(decide(parse_variety("L~"), SIGMA1)) == holds
+    assert semi_decide_d(SIGMA1, k=3) == "unknown"
 
 
 def test_b21_refutes_both_swap_identities():

@@ -3,12 +3,14 @@ from hypothesis import given, strategies as st
 
 from monovar.words import (
     EMPTY,
+    MAX_WORD_LENGTH,
     Identity,
     L,
     Letter,
     Word,
     fresh_letter,
     identity,
+    iter_matches,
     iter_words,
     letter_key,
     parse_identity,
@@ -54,10 +56,30 @@ def test_parse_rejects_zero_exponent():
         parse_word("x^0")
 
 
+def test_parse_caps_the_word_length():
+    assert len(parse_word(f"x^{MAX_WORD_LENGTH}")) == MAX_WORD_LENGTH
+    for bad in [f"x^{MAX_WORD_LENGTH + 1}", "x^999999999",
+                f"y x^{MAX_WORD_LENGTH}", "x" * (MAX_WORD_LENGTH + 1)]:
+        with pytest.raises(ValueError, match="longer than"):
+            parse_word(bad)
+
+
 def test_parse_rejects_garbage():
     for bad in ["", "1x", "X", "x^", "x-y", "^2"]:
         with pytest.raises(ValueError):
             parse_word(bad)
+
+
+def test_iter_matches_free_end_in_search_order():
+    pattern = parse_word("xyx").letters
+    target = parse_word("aba").letters
+    got = [(stop, {str(l): "".join(map(str, im)) for l, im in xi.items()})
+           for stop, xi in iter_matches(pattern, target, 1)]
+    # x and y take their shorter images first, x before y
+    assert got == [(1, {"x": "", "y": ""}), (2, {"x": "", "y": "b"}),
+                   (3, {"x": "", "y": "ba"})]
+    stops = [stop for stop, _ in iter_matches(pattern, target)]
+    assert stops == [0, 1, 2, 3, 3]
 
 
 def test_occurrences_and_ell():
