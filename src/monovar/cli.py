@@ -8,7 +8,6 @@ stderr so reports stay byte-identical across runs.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 from typing import Optional
@@ -217,9 +216,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--maxlen", "--max-len", type=int, default=6, dest="maxlen")
     p.add_argument("--cross-check", type=int, default=2000,
                    help="extra cross-group pairs to compare in full")
-    p.add_argument("--workers", type=int,
-                   default=int(os.environ.get("MONOVAR_WORKERS", "1")),
-                   help="worker count (reserved; runs are single-process)")
     p.set_defaults(func=cmd_verify_chain)
 
     p = sub.add_parser("monoid", help="build, check or dump a finite monoid")

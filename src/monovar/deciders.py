@@ -11,12 +11,11 @@ decider.
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import islice
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from .catalog import (
     ORACLE_WORD_L,
@@ -28,21 +27,9 @@ from .catalog import (
     delta,
     gamma,
 )
-from .decomposition import LAMBDA, profile
+from .decomposition import LAMBDA, Profile, profile
 from .monoids import b21, rees_quotient
 from .words import Identity, Letter, Word, identity, iter_words, letter_key
-
-# Sentinel for "this side has no such occurrence"; compares unequal to both
-# None (the empty divider) and any Letter.
-_ABSENT = "absent"
-
-
-def _show(value) -> str:
-    if value is None:
-        return LAMBDA
-    if value is _ABSENT:
-        return "absent"
-    return str(value)
 
 
 @dataclass(frozen=True)
@@ -79,125 +66,104 @@ def _fails(reason: Reason) -> Verdict:
     return Verdict(False, (reason,))
 
 
-class _Signature:
-    """Per-word data the claim checks compare: letter classes, the
-    simple-letter skeleton, depths, and restrictor maps per level."""
+class Claim(NamedTuple):
+    """A claim's code, its check (None or the Reason for the first
+    mismatch) and the text reported when the sides agree."""
 
-    __slots__ = ("word", "con", "sim", "mul", "ini", "skeleton", "depth",
-                 "stab", "h1", "h2")
-
-    def __init__(self, w: Word, levels: int):
-        prof = profile(w)
-        self.word = w
-        self.con = prof.con
-        self.sim = prof.sim
-        self.mul = prof.mul
-        self.ini = prof.ini
-        self.skeleton = w.delete(prof.mul)
-        self.depth = {x: prof.depth(x) for x in prof.con}
-        self.stab = prof.stab
-        self.h1 = []
-        self.h2 = []
-        for j in range(levels + 1):
-            self.h1.append({x: prof.restrictor(x, 1, j) for x in prof.con})
-            self.h2.append({x: prof.restrictor(x, 2, j) for x in prof.mul})
+    code: str
+    fail: Callable[[Profile, Profile], Optional[Reason]]
+    agrees: str = "agrees on both sides"
 
 
-@lru_cache(maxsize=65536)
-def _signature(w: Word, levels: int) -> _Signature:
-    return _Signature(w, levels)
+# Checks on two profiles.  Every check past letters runs only on sides
+# whose letter classes agree, since each variety using one extends C2, so
+# both sides' restrictor maps have the same keys.
 
-
-def _letter_order(su: _Signature, sv: _Signature) -> list[Letter]:
-    """First-occurrence order in the left side, then right-side extras."""
-    return list(su.ini) + [x for x in sv.ini if x not in su.con]
-
-
-def _fail_sim_mul(su: _Signature, sv: _Signature) -> Optional[Reason]:
-    if su.sim == sv.sim and su.mul == sv.mul:
+def _fail_content(pu: Profile, pv: Profile) -> Optional[Reason]:
+    if pu.con == pv.con:
         return None
-    odd = sorted((su.sim ^ sv.sim) | (su.mul ^ sv.mul), key=letter_key)
-    x = odd[0]
-    def cls(s: _Signature) -> str:
-        if x in s.sim:
-            return "once"
-        if x in s.mul:
-            return "repeated"
-        return "missing"
-    return Reason("letters", f"{x} occurs {cls(su)} on the left but {cls(sv)} "
+    odd = ", ".join(map(str, sorted(pu.con ^ pv.con, key=letter_key)))
+    return Reason("content", f"letter sets differ: {{{odd}}}")
+
+
+def _fail_letters(pu: Profile, pv: Profile) -> Optional[Reason]:
+    if pu.sim == pv.sim and pu.mul == pv.mul:
+        return None
+    x = min((pu.sim ^ pv.sim) | (pu.mul ^ pv.mul), key=letter_key)
+    left, right = ("once" if x in p.sim else "repeated" if x in p.mul
+                   else "missing" for p in (pu, pv))
+    return Reason("letters", f"{x} occurs {left} on the left but {right} "
                   "on the right", letter=x)
 
 
-def _fail_skeleton(su: _Signature, sv: _Signature) -> Optional[Reason]:
-    if su.skeleton == sv.skeleton:
+def _fail_skeleton(pu: Profile, pv: Profile) -> Optional[Reason]:
+    if pu.skeleton == pv.skeleton:
         return None
     return Reason("skeleton", "after deleting repeated letters the sides "
-                  f"read {su.skeleton} and {sv.skeleton}")
+                  f"read {pu.skeleton} and {pv.skeleton}")
 
 
-def _h(maps: list[dict], x: Letter, level: int):
-    return maps[level].get(x, _ABSENT)
+def _mismatch(code: str, which: str, x: Letter, level: int, a: dict,
+              b: dict, note: str = "") -> Reason:
+    ra, rb = (LAMBDA if r is None else r for r in (a[x], b[x]))
+    return Reason(code, f"{which} restrictor of {x} at level {level}{note}: "
+                  f"{ra} vs {rb}", letter=x, level=level)
 
 
-def _fail_h1(su: _Signature, sv: _Signature, level: int,
-             code: Optional[str] = None) -> Optional[Reason]:
+def _h1(level: int) -> Claim:
     """First-occurrence restrictors at the level agree for every letter."""
-    for x in _letter_order(su, sv):
-        a = _h(su.h1, x, level)
-        b = _h(sv.h1, x, level)
-        if a != b:
-            return Reason(code or f"h1@{level}",
-                          f"first restrictor of {x} at level {level}: "
-                          f"{_show(a)} vs {_show(b)}", letter=x, level=level)
-    return None
+    code = f"h1@{level}"
+    def fail(pu: Profile, pv: Profile) -> Optional[Reason]:
+        a, b = pu.restrictors(level)[0], pv.restrictors(level)[0]
+        if a == b:
+            return None
+        x = next(x for x in pu.ini if a[x] != b[x])
+        return _mismatch(code, "first", x, level, a, b)
+    return Claim(code, fail)
 
 
-def _fail_h12(su: _Signature, sv: _Signature, level: int) -> Optional[Reason]:
+def _h12(level: int) -> Claim:
     """Both restrictors at the level agree for every letter."""
-    bad = _fail_h1(su, sv, level, code=f"h1h2@{level}")
-    if bad:
-        return bad
-    for x in _letter_order(su, sv):
-        a = _h(su.h2, x, level)
-        b = _h(sv.h2, x, level)
-        if a != b:
-            return Reason(f"h1h2@{level}",
-                          f"second restrictor of {x} at level {level}: "
-                          f"{_show(a)} vs {_show(b)}", letter=x, level=level)
-    return None
+    code = f"h1h2@{level}"
+    def fail(pu: Profile, pv: Profile) -> Optional[Reason]:
+        a, b = pu.restrictors(level), pv.restrictors(level)
+        if a == b:
+            return None
+        i = 0 if a[0] != b[0] else 1
+        x = next(x for x in pu.ini if a[i].get(x) != b[i].get(x))
+        return _mismatch(code, ("first", "second")[i], x, level, a[i], b[i])
+    return Claim(code, fail)
 
 
-def _fail_h1_depth(su: _Signature, sv: _Signature,
-                   level: int) -> Optional[Reason]:
+def _h1_depth(level: int) -> Claim:
     """First restrictors at the level agree for letters whose depth on
     either side is at most the level."""
-    for x in _letter_order(su, sv):
-        if min(su.depth.get(x, math.inf), sv.depth.get(x, math.inf)) > level:
-            continue
-        a = _h(su.h1, x, level)
-        b = _h(sv.h1, x, level)
-        if a != b:
-            return Reason(f"h1-depth@{level}",
-                          f"first restrictor of {x} at level {level}: "
-                          f"{_show(a)} vs {_show(b)}", letter=x, level=level)
-    return None
+    code = f"h1-depth@{level}"
+    def fail(pu: Profile, pv: Profile) -> Optional[Reason]:
+        a, b = pu.restrictors(level)[0], pv.restrictors(level)[0]
+        if a == b:
+            return None
+        for x in pu.ini:
+            if a[x] != b[x] and min(pu.depths[x], pv.depths[x]) <= level:
+                return _mismatch(code, "first", x, level, a, b)
+        return None
+    return Claim(code, fail)
 
 
-def _fail_h2_depth(su: _Signature, sv: _Signature, level: int,
-                   m: int) -> Optional[Reason]:
+def _h2_depth(level: int, m: int) -> Claim:
     """Second restrictors at the level agree for letters of left-side
     depth at most m."""
-    for x in su.ini:
-        if su.depth[x] > m:
-            continue
-        a = _h(su.h2, x, level)
-        b = _h(sv.h2, x, level)
-        if a != b:
-            return Reason(f"h2-depth@{level}:{m}",
-                          f"second restrictor of {x} at level {level} "
-                          f"(left depth {int(su.depth[x])} <= {m}): "
-                          f"{_show(a)} vs {_show(b)}", letter=x, level=level)
-    return None
+    code = f"h2-depth@{level}:{m}"
+    def fail(pu: Profile, pv: Profile) -> Optional[Reason]:
+        a, b = pu.restrictors(level)[1], pv.restrictors(level)[1]
+        if a == b:
+            return None
+        for x in pu.ini:
+            if a.get(x) != b.get(x) and pu.depths[x] <= m:
+                return _mismatch(code, "second", x, level, a, b,
+                                 f" (left depth {int(pu.depths[x])} <= {m})")
+        return None
+    return Claim(code, fail)
 
 
 # Public claim predicates.
@@ -217,8 +183,7 @@ def claim_restrictor_level(u: Word, v: Word, level: int) -> bool:
     """Both restrictors agree at decomposition level - 1 for every letter."""
     if level < 1:
         raise ValueError("level must be >= 1")
-    su, sv = _signature(u, level - 1), _signature(v, level - 1)
-    return _fail_h12(su, sv, level - 1) is None
+    return profile(u).restrictors(level - 1) == profile(v).restrictors(level - 1)
 
 
 _SINGLETON_FAMILIES = ("T", "SL", "E", "K", "LRB", "RRB", "L", "M",
@@ -293,6 +258,40 @@ def parse_variety(text: str) -> Variety:
         "optionally suffixed with ~ for the dual")
 
 
+_C2 = Variety("C", k=2)
+
+# The claim table: every claim-decided variety as the variety it extends
+# (None at a root) and the one claim it adds.  C and DK stand for C2 and
+# D1, as their higher members are decided by oracles.  K adds h1h2 at
+# every level up to stabilization, so decide builds its claims per identity.
+_TABLE: dict[str, Callable[[Variety], tuple[Optional[Variety], Claim]]] = {
+    "T": lambda v: (None, Claim("trivial", lambda pu, pv: None, "the trivial "
+                                "variety satisfies every identity")),
+    "SL": lambda v: (None, Claim("content", _fail_content,
+                                 "same letters on both sides")),
+    "C": lambda v: (None, Claim("letters", _fail_letters)),
+    "DK": lambda v: (_C2, Claim("skeleton", _fail_skeleton)),
+    "E": lambda v: (_C2, _h1(0)),
+    "F": lambda v: (_C2, _h12(v.k - 1)),
+    "H": lambda v: (Variety("F", k=v.k), _h1_depth(v.k)),
+    "I": lambda v: (Variety("F", k=v.k), _h1(v.k)),
+    "J": lambda v: (Variety("I", k=v.k), _h2_depth(v.k, v.m)),
+}
+
+
+@lru_cache(maxsize=256)
+def _claims(v: Variety) -> tuple[Claim, ...]:
+    """The claims v checks, from the root of the table down to its own."""
+    parent, claim = _TABLE[v.family](v)
+    return (() if parent is None else _claims(parent)) + (claim,)
+
+
+def _k_claims(pu: Profile, pv: Profile) -> Iterator[Claim]:
+    yield from _claims(_C2)
+    for j in range(max(pu.stab, pv.stab) + 1):
+        yield _h12(j)
+
+
 def forces_group(ident: Identity) -> bool:
     """True when the contents differ, so only group varieties satisfy it."""
     return ident.lhs.content() != ident.rhs.content()
@@ -311,18 +310,6 @@ def _oracle_verdict(gen: Word, ident: Identity, max_letters: int) -> Verdict:
                          f"{lhs} vs {rhs}"))
 
 
-def _claim_verdict(ident: Identity, levels: int, checks) -> Verdict:
-    su = _signature(ident.lhs, levels)
-    sv = _signature(ident.rhs, levels)
-    passed = []
-    for code, check in checks:
-        bad = check(su, sv)
-        if bad:
-            return _fails(bad)
-        passed.append(Reason(code, "agrees on both sides"))
-    return _holds(*passed)
-
-
 def decide(v: Variety, ident: Identity, max_letters: int = 4) -> Verdict:
     """Exact membership of the identity in the variety's equational theory.
 
@@ -332,18 +319,10 @@ def decide(v: Variety, ident: Identity, max_letters: int = 4) -> Verdict:
     if v.dual:
         return decide(v.base, ident.reverse(), max_letters)
     fam = v.family
-    if fam == "T":
-        return _holds(Reason("trivial", "the trivial variety satisfies "
-                             "every identity"))
     if fam in ("D", "N", "O"):
         hint = "; semi_decide_d gives a sound partial answer" if fam == "D" else ""
         raise ValueError(f"{v.name} has no exact decider{hint}")
     u, w = ident.lhs, ident.rhs
-    if fam == "SL":
-        if u.content() == w.content():
-            return _holds(Reason("content", "same letters on both sides"))
-        return _fails(Reason("content", f"letter sets differ: "
-                             f"{{{', '.join(map(str, sorted(u.content() ^ w.content(), key=letter_key)))}}}"))
     if fam == "LRB" or fam == "RRB":
         a, b = (u, w) if fam == "LRB" else (u.reverse(), w.reverse())
         side = "first" if fam == "LRB" else "last"
@@ -361,34 +340,14 @@ def decide(v: Variety, ident: Identity, max_letters: int = 4) -> Verdict:
     if fam == "M":
         return _oracle_verdict(ORACLE_WORD_M, ident, max_letters)
 
-    checks: list[tuple[str, Callable]] = [("letters", _fail_sim_mul)]
-    levels = 0
-    if fam == "C":  # k == 2
-        pass
-    elif fam == "DK":  # k == 1
-        checks.append(("skeleton", _fail_skeleton))
-    elif fam == "E":
-        checks.append(("h1@0", lambda a, b: _fail_h1(a, b, 0)))
-    elif fam == "K":
-        levels = max(profile(u).stab, profile(w).stab)
-        for j in range(levels + 1):
-            checks.append((f"h1h2@{j}",
-                           lambda a, b, j=j: _fail_h12(a, b, j)))
-    else:
-        k = v.k
-        levels = k
-        checks.append((f"h1h2@{k - 1}",
-                       lambda a, b: _fail_h12(a, b, k - 1)))
-        if fam == "H":
-            checks.append((f"h1-depth@{k}",
-                           lambda a, b: _fail_h1_depth(a, b, k)))
-        elif fam == "I":
-            checks.append((f"h1@{k}", lambda a, b: _fail_h1(a, b, k)))
-        elif fam == "J":
-            checks.append((f"h1@{k}", lambda a, b: _fail_h1(a, b, k)))
-            checks.append((f"h2-depth@{k}:{v.m}",
-                           lambda a, b: _fail_h2_depth(a, b, k, v.m)))
-    return _claim_verdict(ident, levels, checks)
+    pu, pw = profile(u), profile(w)
+    passed = []
+    for claim in _k_claims(pu, pw) if fam == "K" else _claims(v):
+        bad = claim.fail(pu, pw)
+        if bad:
+            return _fails(bad)
+        passed.append(Reason(claim.code, claim.agrees))
+    return _holds(*passed)
 
 
 def structural_c(n: int, ident: Identity) -> bool:
@@ -461,32 +420,27 @@ def separating_witness(smaller: Variety, larger: Variety) -> Identity:
                      "in the chain")
 
 
+@lru_cache(maxsize=256)
+def _plan(kmax: int) -> tuple[tuple[int, Callable], ...]:
+    """Each member of chain_of(kmax) as the slot of the variety it extends
+    in chain_bits' bit list (0, always true, at a root) and its own check."""
+    chain = chain_of(kmax)
+    slot = {v: i for i, v in enumerate(chain, 1)}
+    return tuple((slot.get(parent, 0), claim.fail)
+                 for parent, claim in (_TABLE[v.family](v) for v in chain))
+
+
 def chain_bits(u: Word, v: Word, kmax: int) -> tuple[bool, ...]:
     """Acceptance of u = v by every decider in chain_of(kmax), in order.
 
-    Equivalent to calling decide for each chain member but sharing all
-    per-word data, so bulk runs stay fast.
+    Reads the claim table as decide does: a member accepts when the
+    variety it extends accepts and its own claim agrees.
     """
-    su = _signature(u, kmax)
-    sv = _signature(v, kmax)
-    con_eq = su.con == sv.con
-    if su.sim != sv.sim or su.mul != sv.mul:
-        # Everything from C2 up checks the letter classes first.
-        return (True, con_eq) + (False,) * (len(chain_of(kmax)) - 2)
-    h12_eq = [_fail_h12(su, sv, j) is None for j in range(kmax + 1)]
-    h1_eq = [_fail_h1(su, sv, j) is None for j in range(kmax + 1)]
-    bits = [True, con_eq, True, su.skeleton == sv.skeleton,
-            h1_eq[0]]
-    for k in range(1, kmax + 1):
-        f = h12_eq[k - 1]
-        bits.append(f)
-        bits.append(f and _fail_h1_depth(su, sv, k) is None)
-        i = f and h1_eq[k]
-        bits.append(i)
-        for m in range(1, k + 1):
-            bits.append(i and _fail_h2_depth(su, sv, k, m) is None)
-    bits.append(h12_eq[kmax])
-    return tuple(bits)
+    pu, pv = profile(u), profile(v)
+    bits = [True]
+    for parent, fail in _plan(kmax):
+        bits.append(bits[parent] and fail(pu, pv) is None)
+    return tuple(bits[1:])
 
 
 @dataclass(frozen=True)
@@ -551,9 +505,10 @@ def verify_chain(kmax: int = 3, letters: int = 3, max_len: int = 6,
     words = list(iter_words(alphabet, max_len))
     chain = chain_of(kmax)
 
+    keys = [(w.simple(), w.multiple()) for w in words]
     groups: dict[tuple[frozenset, frozenset], list[Word]] = {}
-    for w in words:
-        groups.setdefault((w.simple(), w.multiple()), []).append(w)
+    for w, key in zip(words, keys):
+        groups.setdefault(key, []).append(w)
 
     violations: list[tuple[Identity, Variety, Variety]] = []
 
@@ -577,9 +532,9 @@ def verify_chain(kmax: int = 3, letters: int = 3, max_len: int = 6,
     if cross and cross_check:
         stride = max(1, cross // cross_check)
         seen = 0
-        for u in words:
-            for v in words:
-                if u is v or (u.simple(), u.multiple()) == (v.simple(), v.multiple()):
+        for u, ku in zip(words, keys):
+            for v, kv in zip(words, keys):
+                if u is v or ku == kv:
                     continue
                 if seen % stride == 0:
                     compared += 1

@@ -10,8 +10,9 @@ len(word) rounds.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Optional
 
 from .words import Letter, Word
@@ -41,35 +42,83 @@ def _refine(word: Word, dividers: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(sorted(out))
 
 
-def _levels(word: Word) -> list[tuple[int, ...]]:
-    level0 = tuple(sorted([0] + [p for l in word.content() if word.occ(l) == 1
-                                 for p in word.positions(l)]))
-    levels = [level0]
-    while True:
-        nxt = _refine(word, levels[-1])
-        if nxt == levels[-1]:
-            return levels
-        levels.append(nxt)
-
-
 class Profile:
-    """Cached per-word decomposition data shared by the deciders."""
+    """Cached per-word decomposition data shared by the deciders.
+
+    Letter classes are read when the profile is made.  Levels, the
+    skeleton, depths and the restrictor maps of each level are computed on
+    first use and then kept.
+    """
 
     def __init__(self, word: Word):
         self.word = word
-        self.con = word.content()
-        self.sim = word.simple()
-        self.mul = word.multiple()
-        self.ini = word.ini()
-        self.simple_part = word.retain(self.sim)
-        self.positions = {l: word.positions(l) for l in self.con}
-        self.levels = _levels(word)
-        self.stab = len(self.levels) - 1
+        self.positions: dict[Letter, list[int]] = {}
+        for p, letter in enumerate(word.letters, 1):
+            self.positions.setdefault(letter, []).append(p)
+        self.ini = tuple(self.positions)
+        self.con = frozenset(self.ini)
+        self.sim = frozenset(l for l, pos in self.positions.items()
+                             if len(pos) == 1)
+        self.mul = self.con - self.sim
+
+    @cached_property
+    def levels(self) -> list[tuple[int, ...]]:
+        levels = [tuple(sorted([0] + [pos[0] for pos in self.positions.values()
+                                      if len(pos) == 1]))]
+        while True:
+            nxt = _refine(self.word, levels[-1])
+            if nxt == levels[-1]:
+                return levels
+            levels.append(nxt)
+
+    @cached_property
+    def stab(self) -> int:
+        return len(self.levels) - 1
+
+    @cached_property
+    def skeleton(self) -> Word:
+        """The word left after deleting every repeated letter."""
+        return self.word.delete(self.mul)
+
+    @cached_property
+    def depths(self) -> dict[Letter, float]:
+        """Depth of every letter, in first-occurrence order: 1 + the first
+        level with a divider at or after the first occurrence and before
+        the second; 0 for a letter occurring once."""
+        born: dict[int, int] = {}
+        for lvl, dividers in enumerate(self.levels):
+            for p in dividers:
+                born.setdefault(p, lvl)
+        return {l: 0 if len(pos) == 1 else
+                min((born[p] + 1 for p in range(pos[0], pos[1]) if p in born),
+                    default=math.inf)
+                for l, pos in self.positions.items()}
+
+    @cached_property
+    def _maps(self) -> list:
+        return [None] * (self.stab + 1)
+
+    def restrictors(self, k: int) -> tuple[dict, dict]:
+        """First- and second-occurrence restrictor maps at level k: every
+        letter, resp. every repeated letter, to its restrictor."""
+        if k > self.stab:
+            k = self.stab
+        maps = self._maps[k]
+        if maps is None:
+            at, items = self.levels[k], self.positions.items()
+            maps = self._maps[k] = (
+                {l: self._before(pos[0], at) for l, pos in items},
+                {l: self._before(pos[1], at) for l, pos in items if len(pos) > 1})
+        return maps
 
     def dividers(self, k: int) -> tuple[int, ...]:
         if k < 0:
             raise ValueError("decomposition level must be >= 0")
         return self.levels[min(k, self.stab)]
+
+    def _before(self, q: int, dividers: tuple[int, ...]) -> Optional[Letter]:
+        best = dividers[bisect_left(dividers, q) - 1]
+        return None if best == 0 else self.word[best - 1]
 
     def restrictor(self, letter: Letter, i: int, k: int) -> Optional[Letter]:
         """Rightmost k-divider strictly left of the i-th occurrence.
@@ -79,14 +128,7 @@ class Profile:
         pos = self.positions.get(letter)
         if pos is None or i < 1 or i > len(pos):
             raise ValueError(f"{self.word} has no occurrence {i} of {letter}")
-        q = pos[i - 1]
-        best = 0
-        for p in self.dividers(k):
-            if p < q:
-                best = p
-            else:
-                break
-        return None if best == 0 else self.word[best - 1]
+        return self._before(pos[i - 1], self.dividers(k))
 
     def depth(self, letter: Letter) -> float:
         """Least k such that the first two occurrences fall into different
@@ -94,12 +136,7 @@ class Profile:
         """
         if letter not in self.con:
             raise ValueError(f"{letter} does not occur in {self.word}")
-        if letter in self.sim:
-            return 0
-        for lvl in range(self.stab + 1):
-            if self.restrictor(letter, 1, lvl) != self.restrictor(letter, 2, lvl):
-                return lvl + 1
-        return math.inf
+        return self.depths[letter]
 
     def is_divider(self, letter: Letter, k: int) -> bool:
         if letter not in self.con:
@@ -108,7 +145,7 @@ class Profile:
         return first in self.dividers(k)
 
     def depth_profile(self) -> dict[Letter, float]:
-        return {l: self.depth(l) for l in self.con}
+        return dict(self.depths)
 
 
 @lru_cache(maxsize=65536)

@@ -279,6 +279,11 @@ def named_monoid(name: str) -> Monoid:
     raise KeyError(f"unknown monoid {name!r}; use P1, B21, K5 or S(<word>)")
 
 
+# isoterm_search refuses a bound whose candidate words have more letters
+# than this in all; criterion 12 tries 87,296 words of 669,696 letters.
+MAX_ISOTERM_LETTERS = 10**7
+
+
 def isoterm_search(w: Word, decide, bound: Optional[int] = None):
     """Look for a different word with the same content that decide deems
     equal to w, trying every candidate with at most bound occurrences per
@@ -300,6 +305,13 @@ def isoterm_search(w: Word, decide, bound: Optional[int] = None):
         bound = w.max_occ() + 2
     if bound < w.max_occ():
         raise ValueError(f"bound {bound} is below the occurrence count of {w}")
+    n = len(alphabet)
+    letters = 0
+    for k in range(n, bound * n + 1):
+        letters += k * n ** k
+        if letters > MAX_ISOTERM_LETTERS:
+            raise ValueError(f"bound {bound} gives candidate words of more "
+                             f"than {MAX_ISOTERM_LETTERS} letters in all for {w}")
 
     prescreen = None
     if isinstance(decide, ReesQuotient):
@@ -315,7 +327,7 @@ def isoterm_search(w: Word, decide, bound: Optional[int] = None):
         test = decide
 
     content = w.content()
-    for u in iter_words(alphabet, bound * len(alphabet), min_len=len(alphabet)):
+    for u in iter_words(alphabet, bound * n, min_len=n):
         if u == w or u.content() != content:
             continue
         if any(u.occ(letter) > bound for letter in alphabet):

@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from monovar.cli import build_parser, main
+from monovar.cli import main
 from monovar.deduction import (
     check_deduction,
     format_deduction,
@@ -109,10 +109,10 @@ def test_verify_chain_output_is_reproducible(capsys):
     assert first == second
 
 
-def test_workers_default_comes_from_environment(monkeypatch):
-    monkeypatch.setenv("MONOVAR_WORKERS", "7")
-    args = build_parser().parse_args(["verify-chain"])
-    assert args.workers == 7
+def test_environment_does_not_reach_the_parser(monkeypatch, capsys):
+    monkeypatch.setenv("MONOVAR_WORKERS", "abc")
+    code, out, _ = run(capsys, "decompose", "xyx")
+    assert code == 0 and "stabilizes at k=1" in out
 
 
 def test_monoid_build_check_dump(capsys):
@@ -149,6 +149,16 @@ def test_isoterm_searches(capsys):
                        "--monoid", "S(x)", "--bound", "3")
     assert code == 0
     assert "found: xx = xxx" in out
+
+
+def test_isoterm_bound_beyond_the_cap_is_a_usage_error(capsys):
+    for argv in (("--word", "xy", "--monoid", "S(xy)", "--bound", "1000000000"),
+                 ("--word", "xzxyty", "--monoid", "S(xzxyty)")):
+        started = time.perf_counter()
+        code, out, err = run(capsys, "isoterm", *argv)
+        assert code == 2 and "candidate words of more than" in err
+        assert out == ""
+        assert time.perf_counter() - started < 1.0
 
 
 def test_deduce_search_finds_the_collapse_identity(capsys):

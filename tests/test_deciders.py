@@ -320,15 +320,77 @@ def test_separating_witness_requires_adjacency():
 def test_chain_bits_agree_with_decide():
     rng = random.Random(20260815)
     letters = [Letter("x"), Letter("y"), Letter("z")]
-    chain = chain_of(2)
+    probes = []
     for _ in range(200):
         u = Word([rng.choice(letters) for _ in range(rng.randint(0, 5))])
         w = Word([rng.choice(letters) for _ in range(rng.randint(0, 5))])
-        probe = Identity(u, w)
-        bits = chain_bits(u, w, 2)
+        probes.append((u, w, 2))
+    # most random pairs differ in letter classes and stop at C2; these
+    # reach the claims past it
+    words = list(iter_words((Letter("x"), Letter("y")), 5))
+    probes += [(u, w, 3) for u in words for w in words if u != w
+               and (u.simple(), u.multiple()) == (w.simple(), w.multiple())]
+    for u, w, kmax in probes:
+        chain = chain_of(kmax)
+        bits = chain_bits(u, w, kmax)
         assert len(bits) == len(chain)
         for bit, v in zip(bits, chain):
-            assert bit == decide(v, probe).holds, (str(probe), v.name)
+            assert bit == decide(v, Identity(u, w)).holds, (str(u), str(w), v.name)
+
+
+# What every claim-decided variety checks, read from the claim codes of a
+# trivial identity: each one adds one claim to the variety it extends.
+CLAIM_CODES = {
+    "T": "trivial", "SL": "content", "C2": "letters",
+    "D1": "letters, skeleton", "E": "letters, h1@0",
+    "F1": "letters, h1h2@0", "H1": "letters, h1h2@0, h1-depth@1",
+    "I1": "letters, h1h2@0, h1@1",
+    "J1.1": "letters, h1h2@0, h1@1, h2-depth@1:1",
+    "F2": "letters, h1h2@1", "H2": "letters, h1h2@1, h1-depth@2",
+    "I2": "letters, h1h2@1, h1@2",
+    "J2.1": "letters, h1h2@1, h1@2, h2-depth@2:1",
+    "J2.2": "letters, h1h2@1, h1@2, h2-depth@2:2",
+    "F3": "letters, h1h2@2", "H3": "letters, h1h2@2, h1-depth@3",
+    "I3": "letters, h1h2@2, h1@3",
+    "J3.1": "letters, h1h2@2, h1@3, h2-depth@3:1",
+    "J3.2": "letters, h1h2@2, h1@3, h2-depth@3:2",
+    "J3.3": "letters, h1h2@2, h1@3, h2-depth@3:3",
+    "F4": "letters, h1h2@3",
+    # xyx stabilizes at level 1
+    "K": "letters, h1h2@0, h1h2@1",
+}
+
+
+def test_claim_codes_are_pinned():
+    names = [v.name for v in chain_of(3)] + ["K"]
+    assert names == list(CLAIM_CODES)
+    for name in names:
+        verdict = decide(V(name), ident("xyx = xyx"))
+        assert verdict.holds
+        assert ", ".join(r.claim for r in verdict.reasons) == CLAIM_CODES[name]
+
+
+@pytest.mark.parametrize("letters, max_len", [("xy", 5), ("xyz", 4)])
+def test_deciders_are_equivalence_relations(letters, max_len):
+    """chain_of(2) through chain_bits, and K through decide, accept a
+    reflexive, symmetric and transitive relation on words."""
+    words = list(iter_words(tuple(Letter(b) for b in letters), max_len))
+    names = [v.name for v in chain_of(2)] + ["K"]
+    accepted = {name: {u: set() for u in words} for name in names}
+    for u in words:
+        for w in words:
+            bits = chain_bits(u, w, 2) + (decide(V("K"), Identity(u, w)).holds,)
+            for name, bit in zip(names, bits):
+                if bit:
+                    accepted[name][u].add(w)
+    for name in names:
+        acc = accepted[name]
+        for u in words:
+            assert u in acc[u], (name, "reflexive", str(u))
+            for w in acc[u]:
+                assert u in acc[w], (name, "symmetric", str(u), str(w))
+                # u ~ w and w ~ z give u ~ z
+                assert acc[w] <= acc[u], (name, "transitive", str(u), str(w))
 
 
 def test_verify_inclusion_direction():
