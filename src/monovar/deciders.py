@@ -166,26 +166,6 @@ def _h2_depth(level: int, m: int) -> Claim:
     return Claim(code, fail)
 
 
-# Public claim predicates.
-
-def claim_sim_mul(u: Word, v: Word) -> bool:
-    """Both sides have the same once-occurring and repeated letter sets."""
-    return u.simple() == v.simple() and u.multiple() == v.multiple()
-
-
-def claim_simple_skeleton(u: Word, v: Word) -> bool:
-    """Deleting every repeated letter of the left side equalizes the sides."""
-    mul = u.multiple()
-    return u.delete(mul) == v.delete(mul)
-
-
-def claim_restrictor_level(u: Word, v: Word, level: int) -> bool:
-    """Both restrictors agree at decomposition level - 1 for every letter."""
-    if level < 1:
-        raise ValueError("level must be >= 1")
-    return profile(u).restrictors(level - 1) == profile(v).restrictors(level - 1)
-
-
 _SINGLETON_FAMILIES = ("T", "SL", "E", "K", "LRB", "RRB", "L", "M",
                        "D", "N", "O")
 _INDEXED_FAMILIES = ("C", "DK", "F", "H", "I", "J")
@@ -436,7 +416,10 @@ def chain_bits(u: Word, v: Word, kmax: int) -> tuple[bool, ...]:
     Reads the claim table as decide does: a member accepts when the
     variety it extends accepts and its own claim agrees.
     """
-    pu, pv = profile(u), profile(v)
+    return _bits(profile(u), profile(v), kmax)
+
+
+def _bits(pu: Profile, pv: Profile, kmax: int) -> tuple[bool, ...]:
     bits = [True]
     for parent, fail in _plan(kmax):
         bits.append(bits[parent] and fail(pu, pv) is None)
@@ -505,18 +488,22 @@ def verify_chain(kmax: int = 3, letters: int = 3, max_len: int = 6,
     words = list(iter_words(alphabet, max_len))
     chain = chain_of(kmax)
 
-    keys = [(w.simple(), w.multiple()) for w in words]
-    groups: dict[tuple[frozenset, frozenset], list[Word]] = {}
-    for w, key in zip(words, keys):
-        groups.setdefault(key, []).append(w)
+    # The sweep owns its profiles, so it neither fills nor thrashes the
+    # shared profile cache.
+    profs = [Profile(w) for w in words]
+    keys = [(p.sim, p.mul) for p in profs]
+    groups: dict[tuple[frozenset, frozenset], list[Profile]] = {}
+    for p, key in zip(profs, keys):
+        groups.setdefault(key, []).append(p)
 
     violations: list[tuple[Identity, Variety, Variety]] = []
 
-    def run(u: Word, v: Word) -> None:
-        bits = chain_bits(u, v, kmax)
+    def run(pu: Profile, pv: Profile) -> None:
+        bits = _bits(pu, pv, kmax)
         for i in range(len(bits) - 1):
             if bits[i + 1] and not bits[i]:
-                violations.append((Identity(u, v), chain[i], chain[i + 1]))
+                violations.append((Identity(pu.word, pv.word), chain[i],
+                                   chain[i + 1]))
                 return
 
     compared = 0
@@ -532,8 +519,8 @@ def verify_chain(kmax: int = 3, letters: int = 3, max_len: int = 6,
     if cross and cross_check:
         stride = max(1, cross // cross_check)
         seen = 0
-        for u, ku in zip(words, keys):
-            for v, kv in zip(words, keys):
+        for u, ku in zip(profs, keys):
+            for v, kv in zip(profs, keys):
                 if u is v or ku == kv:
                     continue
                 if seen % stride == 0:

@@ -10,7 +10,7 @@ len(word) rounds.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Optional
@@ -21,25 +21,6 @@ LAMBDA = "λ"
 
 # A divider set is a sorted tuple of 1-based positions. Position 0 stands for
 # the empty divider that precedes the whole word.
-
-
-def _refine(word: Word, dividers: tuple[int, ...]) -> tuple[int, ...]:
-    n = len(word)
-    out = list(dividers)
-    bounds = list(dividers) + [n + 1]
-    for j in range(len(dividers)):
-        lo, hi = bounds[j], bounds[j + 1]
-        # block occupies positions lo+1 .. hi-1
-        counts: dict[Letter, int] = {}
-        for p in range(lo + 1, hi):
-            letter = word[p - 1]
-            counts[letter] = counts.get(letter, 0) + 1
-        left = {word[p - 1] for p in range(1, lo + 1)}
-        for p in range(lo + 1, hi):
-            letter = word[p - 1]
-            if counts[letter] == 1 and letter not in left:
-                out.append(p)
-    return tuple(sorted(out))
 
 
 class Profile:
@@ -63,11 +44,24 @@ class Profile:
 
     @cached_property
     def levels(self) -> list[tuple[int, ...]]:
+        """Divider sets of levels 0 .. stab.
+
+        Level k+1 cuts out of its k-block every letter occurring once in
+        the block and nowhere to its left, that is, every first occurrence
+        whose second occurrence lies past the next k-divider.  So each
+        level is one scan of the repeated letters' first two occurrences.
+        """
         levels = [tuple(sorted([0] + [pos[0] for pos in self.positions.values()
                                       if len(pos) == 1]))]
+        spans = [(pos[0], pos[1]) for pos in self.positions.values()
+                 if len(pos) > 1]
         while True:
-            nxt = _refine(self.word, levels[-1])
-            if nxt == levels[-1]:
+            at = levels[-1]
+            ends = at + (len(self.word) + 1,)   # the last block's end
+            nxt = tuple(sorted(set(at).union(
+                first for first, second in spans
+                if ends[bisect_right(at, first)] < second)))
+            if nxt == at:
                 return levels
             levels.append(nxt)
 
@@ -84,14 +78,13 @@ class Profile:
     def depths(self) -> dict[Letter, float]:
         """Depth of every letter, in first-occurrence order: 1 + the first
         level with a divider at or after the first occurrence and before
-        the second; 0 for a letter occurring once."""
+        the second, which is the level at which the first occurrence
+        becomes a divider; 0 for a letter occurring once."""
         born: dict[int, int] = {}
         for lvl, dividers in enumerate(self.levels):
             for p in dividers:
                 born.setdefault(p, lvl)
-        return {l: 0 if len(pos) == 1 else
-                min((born[p] + 1 for p in range(pos[0], pos[1]) if p in born),
-                    default=math.inf)
+        return {l: 0 if len(pos) == 1 else born.get(pos[0], math.inf)
                 for l, pos in self.positions.items()}
 
     @cached_property
@@ -118,7 +111,7 @@ class Profile:
 
     def _before(self, q: int, dividers: tuple[int, ...]) -> Optional[Letter]:
         best = dividers[bisect_left(dividers, q) - 1]
-        return None if best == 0 else self.word[best - 1]
+        return None if best == 0 else self.word.letters[best - 1]
 
     def restrictor(self, letter: Letter, i: int, k: int) -> Optional[Letter]:
         """Rightmost k-divider strictly left of the i-th occurrence.
@@ -148,7 +141,7 @@ class Profile:
         return dict(self.depths)
 
 
-@lru_cache(maxsize=65536)
+@lru_cache(maxsize=256)
 def profile(word: Word) -> Profile:
     return Profile(word)
 

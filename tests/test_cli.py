@@ -4,7 +4,9 @@ import time
 
 import pytest
 
+from monovar.catalog import delta
 from monovar.cli import main
+from monovar.decomposition import profile, render_depths
 from monovar.deduction import (
     check_deduction,
     format_deduction,
@@ -159,6 +161,21 @@ def test_isoterm_bound_beyond_the_cap_is_a_usage_error(capsys):
         assert code == 2 and "candidate words of more than" in err
         assert out == ""
         assert time.perf_counter() - started < 1.0
+
+
+def test_depth_of_a_long_word_is_quick(capsys):
+    """delta(500, 500) has 1,005 letters, far inside parse_word's cap."""
+    word = delta(500, 500).lhs
+    profile.cache_clear()
+    started = time.perf_counter()
+    want = render_depths(word)
+    assert time.perf_counter() - started < 3.0
+    profile.cache_clear()
+    started = time.perf_counter()
+    code, out, _ = run(capsys, "depth", str(word))
+    assert time.perf_counter() - started < 3.0
+    assert code == 0
+    assert out.splitlines() == ["# monovar 1", want]
 
 
 def test_deduce_search_finds_the_collapse_identity(capsys):

@@ -17,9 +17,6 @@ from monovar.deciders import (
     Variety,
     chain_bits,
     chain_of,
-    claim_restrictor_level,
-    claim_sim_mul,
-    claim_simple_skeleton,
     decide,
     forces_group,
     parse_variety,
@@ -29,7 +26,8 @@ from monovar.deciders import (
     verify_chain,
     verify_inclusion,
 )
-from monovar.words import Identity, Letter, Word, iter_words, parse_identity, parse_word
+from monovar.decomposition import profile
+from monovar.words import Identity, Letter, Word, iter_words, parse_identity
 
 V = parse_variety
 pi = parse_identity
@@ -75,29 +73,31 @@ def test_variety_validation():
 # ---------------------------------------------------------------- claims
 
 
-def test_claim_sim_mul():
-    assert claim_sim_mul(parse_word("xyx"), parse_word("x^2y"))
-    assert not claim_sim_mul(parse_word("xy"), parse_word("xyx"))
-    assert not claim_sim_mul(parse_word("x"), parse_word("y"))
+def failed_claim(variety: str, identity: Identity) -> str:
+    """The code of the claim at which the variety rejects the identity."""
+    verdict = decide(V(variety), identity)
+    assert not verdict.holds, verdict
+    return verdict.reasons[0].claim
 
 
-def test_claim_simple_skeleton():
+def test_letters_claim_decides_c2():
+    assert decide(V("C2"), ident("xyx = x^2y")).holds
+    assert failed_claim("C2", ident("xy = xyx")) == "letters"
+    assert failed_claim("C2", ident("x = y")) == "letters"
+
+
+def test_skeleton_claim_decides_d1():
     # deleting the multiple letters must leave the same word
-    assert claim_simple_skeleton(parse_word("xyx"), parse_word("x^2y"))
-    assert claim_simple_skeleton(parse_word("xtyx"), parse_word("x^2ty"))
-    assert not claim_simple_skeleton(parse_word("xty^2"), parse_word("txy^2"))
+    assert decide(V("D1"), ident("xyx = x^2y")).holds
+    assert decide(V("D1"), ident("xtyx = x^2ty")).holds
+    assert failed_claim("D1", ident("xty^2 = txy^2")) == "skeleton"
 
 
-def test_claim_restrictor_level_on_catalog_identities():
-    a2 = alpha(2)
-    assert claim_restrictor_level(a2.lhs, a2.rhs, 2)
-    d22 = delta(2, 2)
-    assert claim_restrictor_level(d22.lhs, d22.rhs, 2)
-    assert not claim_restrictor_level(d22.lhs, d22.rhs, 3)
-    w = parse_word("xyxzytszxs")
-    assert claim_restrictor_level(w, w, 4)
-    with pytest.raises(ValueError):
-        claim_restrictor_level(w, w, 0)
+def test_h1h2_claim_decides_f_k_on_catalog_identities():
+    assert decide(V("F2"), alpha(2)).holds
+    assert decide(V("F2"), delta(2, 2)).holds
+    assert failed_claim("F3", delta(2, 2)) == "h1h2@2"
+    assert decide(V("F4"), ident("xyxzytszxs = xyxzytszxs")).holds
 
 
 # ---------------------------------------------------------------- decide: basics
@@ -409,6 +409,16 @@ def test_verify_chain_small_run_is_clean():
     assert report.ok
     assert report.words == 31
     assert not report.violations and not report.witness_failures
+
+
+def test_verify_chain_profiles_its_own_words():
+    """A sweep builds one profile per word and leaves the shared cache to
+    the separating witnesses, so groups larger than the cache do not
+    thrash it."""
+    profile.cache_clear()
+    report = verify_chain(kmax=2, letters=3, max_len=6)
+    assert report.ok and report.words == 1093
+    assert profile.cache_info().misses < report.words
 
 
 # ---------------------------------------------------------------- duality

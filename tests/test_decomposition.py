@@ -12,7 +12,8 @@ from monovar.decomposition import (
     restrictor,
     stabilization,
 )
-from monovar.words import EMPTY, L, Word, parse_word
+from monovar.catalog import delta
+from monovar.words import EMPTY, L, Word, iter_words, parse_word
 
 W = parse_word("xyxzytszxs")
 
@@ -107,6 +108,67 @@ def test_square_word_never_splits():
     assert decompose(w).render() == "λ·[xyxy]"
     assert depth(w, L("x")) == math.inf
     assert depth(w, L("y")) == math.inf
+
+
+# The slow reference: levels and depths straight from their definitions.
+
+def refine_by_definition(word, dividers):
+    """Inside each block, every letter occurring once in the block and
+    nowhere to the left of it becomes a divider.  Each block's left set
+    and letter counts are rebuilt from scratch."""
+    n = len(word)
+    out = list(dividers)
+    bounds = list(dividers) + [n + 1]
+    for j in range(len(dividers)):
+        lo, hi = bounds[j], bounds[j + 1]
+        # block occupies positions lo+1 .. hi-1
+        counts = {}
+        for p in range(lo + 1, hi):
+            letter = word[p - 1]
+            counts[letter] = counts.get(letter, 0) + 1
+        left = {word[p - 1] for p in range(1, lo + 1)}
+        for p in range(lo + 1, hi):
+            letter = word[p - 1]
+            if counts[letter] == 1 and letter not in left:
+                out.append(p)
+    return tuple(sorted(out))
+
+
+def levels_by_definition(word):
+    levels = [tuple(sorted([0] + [word.positions(l)[0]
+                                  for l in word.simple()]))]
+    while True:
+        nxt = refine_by_definition(word, levels[-1])
+        if nxt == levels[-1]:
+            return levels
+        levels.append(nxt)
+
+
+def depth_by_definition(word, levels, letter):
+    """1 + the first level with a divider at or after the first occurrence
+    and before the second; 0 for a letter occurring once."""
+    pos = word.positions(letter)
+    if len(pos) == 1:
+        return 0
+    for k, dividers in enumerate(levels):
+        if any(pos[0] <= p < pos[1] for p in dividers):
+            return k + 1
+    return math.inf
+
+
+def test_levels_and_depths_match_the_definition():
+    words = list(iter_words((L("x"), L("y"), L("z")), 7))
+    assert len(words) == 3280
+    for n in range(1, 25):
+        for m in range(1, n + 1):
+            words += [delta(n, m).lhs, delta(n, m).rhs]
+    for w in words:
+        prof = Profile(w)
+        levels = levels_by_definition(w)
+        assert prof.levels == levels, w
+        assert prof.stab == len(levels) - 1, w
+        assert list(prof.depths.items()) == [
+            (l, depth_by_definition(w, levels, l)) for l in w.ini()], w
 
 
 @given(words_st)
