@@ -100,21 +100,8 @@ _NAMED: dict[str, Identity] = {
 }
 
 
-def named_identity(code: str) -> Identity:
-    """Look up a fixed identity by code.
-
-    Parametric families are exposed as constructors (alpha, beta, gamma,
-    delta, jkk_basis) rather than codes.
-    """
-    try:
-        return _NAMED[code]
-    except KeyError:
-        known = ", ".join(sorted(_NAMED))
-        raise KeyError(f"unknown identity code {code!r}; known codes: {known}")
-
-
 def coded_identity(code: str) -> Identity:
-    """Like named_identity, but also resolves parametric codes.
+    """Look up an identity by code: a fixed code, or a parametric one.
 
     "alpha:2", "beta:1", "gamma:3" and "jkk:2" take the band index after
     the colon; "delta:3.1" takes band and stage.

@@ -59,8 +59,8 @@ def cmd_restrictors(args: argparse.Namespace) -> int:
     prof = profile(w)
     levels = list(range(prof.stab + 1))
     rows = [["letter", "occ"] + [f"k={k}" for k in levels]]
-    for letter in w.ini():
-        for i in range(1, w.occ(letter) + 1):
+    for letter in prof.ini:
+        for i in range(1, len(prof.positions[letter]) + 1):
             cells = [str(prof.restrictor(letter, i, k) or "λ") for k in levels]
             rows.append([str(letter), str(i)] + cells)
     widths = [max(len(row[c]) for row in rows) for c in range(len(rows[0]))]
@@ -125,19 +125,15 @@ def cmd_monoid(args: argparse.Namespace) -> int:
     if hit is None:
         _emit(SCHEMA, f"{ident}: holds in {monoid.name}")
         return PASS
-    lhs = monoid.labels[monoid.evaluate(ident.lhs, hit)]
-    rhs = monoid.labels[monoid.evaluate(ident.rhs, hit)]
-    _emit(SCHEMA, f"{ident}: fails in {monoid.name} under "
-          f"{monoid.describe_assignment(hit)}: {lhs} vs {rhs}")
+    _emit(SCHEMA, f"{ident}: {monoid.describe_violation(ident, hit)}")
     return FAIL
 
 
 def cmd_isoterm(args: argparse.Namespace) -> int:
     w = parse_word(args.word)
     monoid = named_monoid(args.monoid)
-    hit = isoterm_search(w, monoid, bound=args.bound)
-    bound = args.bound if args.bound is not None else max(
-        (w.occ(x) for x in w.content()), default=1) + 2
+    bound = args.bound if args.bound is not None else max(w.max_occ(), 1) + 2
+    hit = isoterm_search(w, monoid, bound)
     lines = [SCHEMA, f"isoterm-search {w} in {monoid.name} bound={bound}"]
     if hit is None:
         lines.append("none within bound")

@@ -283,11 +283,7 @@ def _oracle_verdict(gen: Word, ident: Identity, max_letters: int) -> Verdict:
     if hit is None:
         return _holds(Reason("oracle", f"holds in {monoid.name} under every "
                              "substitution"))
-    lhs = monoid.labels[monoid.evaluate(ident.lhs, hit)]
-    rhs = monoid.labels[monoid.evaluate(ident.rhs, hit)]
-    return _fails(Reason("oracle", f"fails in {monoid.name} under "
-                         f"{monoid.describe_assignment(hit)}: "
-                         f"{lhs} vs {rhs}"))
+    return _fails(Reason("oracle", monoid.describe_violation(ident, hit)))
 
 
 def decide(v: Variety, ident: Identity, max_letters: int = 4) -> Verdict:

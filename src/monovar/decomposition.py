@@ -192,22 +192,6 @@ def decompose(word: Word, k: Optional[int] = None) -> Decomposition:
     return Decomposition(word, k, prof.dividers(k))
 
 
-def stabilization(word: Word) -> int:
-    return profile(word).stab
-
-
-def restrictor(word: Word, letter: Letter, i: int, k: int) -> Optional[Letter]:
-    return profile(word).restrictor(letter, i, k)
-
-
-def depth(word: Word, letter: Letter) -> float:
-    return profile(word).depth(letter)
-
-
-def depth_profile(word: Word) -> dict[Letter, float]:
-    return profile(word).depth_profile()
-
-
 def render_depths(word: Word) -> str:
     """Depths with multiple letters first, each group in first-occurrence order."""
     prof = profile(word)

@@ -38,10 +38,6 @@ class RewriteStep:
     right: Word = EMPTY
     code: Optional[str] = None
 
-    @property
-    def xi_map(self) -> dict[Letter, Word]:
-        return dict(self.xi)
-
     def __str__(self) -> str:
         pairs = ", ".join(f"{l}->{w}" for l, w in self.xi) or "id"
         return (f"{self.identity} with ({pairs}) "
@@ -64,7 +60,7 @@ def step(
 
 def apply_step(w: Word, st: RewriteStep) -> Word:
     """Rewrite w by the step, trying the identity in both directions."""
-    xi = st.xi_map
+    xi = dict(st.xi)
     sides = (st.identity.lhs, st.identity.rhs)
     for source, target in (sides, sides[::-1]):
         if w == st.left + substitute(source, xi) + st.right:
@@ -214,27 +210,26 @@ def format_deduction(d: Deduction) -> str:
 # ------------------------------------------------------- derivation search
 
 
-def _match_pattern(pattern: Sequence[Letter], target: Word) -> list[dict[Letter, Word]]:
-    """All substitutions xi with xi(pattern) equal to target. Letters may
-    map to the empty word."""
-    n = len(target)
-    return [{letter: Word(image) for letter, image in xi.items()}
-            for stop, xi in iter_matches(pattern, target.letters) if stop == n]
-
-
 def _successors(w: Word, system: Sequence[Identity], max_len: int):
-    """Deterministic list of (next word, step) one application away."""
+    """Deterministic list of (next word, step) one application away.
+
+    One matcher run per start i yields every factor w[i:j] at once; a
+    stable sort by stop visits the factors in the order of a loop over j.
+    """
     seen: dict[Word, RewriteStep] = {}
     for ident in system:
         sides = (ident.lhs, ident.rhs)
         for source, target in (sides, sides[::-1]):
             for i in range(len(w) + 1):
-                for j in range(i, len(w) + 1):
-                    for xi in _match_pattern(source.letters, w[i:j]):
-                        nxt = w[:i] + substitute(target, xi) + w[j:]
-                        if nxt == w or len(nxt) > max_len or nxt in seen:
-                            continue
-                        seen[nxt] = step(ident, xi, w[:i], w[j:])
+                found = sorted(
+                    ((stop, {letter: Word(image) for letter, image in xi.items()})
+                     for stop, xi in iter_matches(source.letters, w.letters, i)),
+                    key=lambda match: match[0])
+                for j, xi in found:
+                    nxt = w[:i] + substitute(target, xi) + w[j:]
+                    if nxt == w or len(nxt) > max_len or nxt in seen:
+                        continue
+                    seen[nxt] = step(ident, xi, w[:i], w[j:])
     return sorted(seen.items(), key=lambda item: item[0].sort_key())
 
 

@@ -6,7 +6,15 @@ import itertools
 from functools import lru_cache
 from typing import Mapping, Optional
 
-from .words import Identity, Letter, Word, iter_matches, letter_key
+from .words import (
+    Identity,
+    Letter,
+    Word,
+    iter_matches,
+    iter_words,
+    letter_key,
+    parse_word,
+)
 
 
 class Monoid:
@@ -51,12 +59,9 @@ class Monoid:
             acc = self.table[acc][assignment[letter]]
         return acc
 
-    def sorted_letters(self, ident: Identity) -> tuple[Letter, ...]:
-        return tuple(sorted(ident.content(), key=letter_key))
-
     def _capped_letters(self, ident: Identity,
                         max_letters: int) -> tuple[Letter, ...]:
-        letters = self.sorted_letters(ident)
+        letters = tuple(sorted(ident.content(), key=letter_key))
         if len(letters) > max_letters:
             raise ValueError(
                 f"identity {ident} uses {len(letters)} letters, above the "
@@ -96,6 +101,14 @@ class Monoid:
         return ", ".join(f"{l}={self.labels[i]}"
                          for l, i in sorted(assignment.items(),
                                             key=lambda kv: letter_key(kv[0])))
+
+    def describe_violation(self, ident: Identity,
+                           assignment: Mapping[Letter, int]) -> str:
+        """The sentence that reports an assignment refuting ident."""
+        lhs = self.labels[self.evaluate(ident.lhs, assignment)]
+        rhs = self.labels[self.evaluate(ident.rhs, assignment)]
+        return (f"fails in {self.name} under "
+                f"{self.describe_assignment(assignment)}: {lhs} vs {rhs}")
 
     def dump(self) -> str:
         width = max(len(l) for l in self.labels)
@@ -274,7 +287,6 @@ def named_monoid(name: str) -> Monoid:
     if name in _NAMED_MONOIDS:
         return _NAMED_MONOIDS[name]()
     if name.startswith("S(") and name.endswith(")"):
-        from .words import parse_word
         return rees_quotient(parse_word(name[2:-1]))
     raise KeyError(f"unknown monoid {name!r}; use P1, B21, K5 or S(<word>)")
 
@@ -284,25 +296,20 @@ def named_monoid(name: str) -> Monoid:
 MAX_ISOTERM_LETTERS = 10**7
 
 
-def isoterm_search(w: Word, decide, bound: Optional[int] = None):
-    """Look for a different word with the same content that decide deems
-    equal to w, trying every candidate with at most bound occurrences per
-    letter.  Returns the first hit in (length, alphabet) order, or None.
+def isoterm_search(w: Word, monoid: Monoid, bound: int) -> Optional[Word]:
+    """Look for a different word with the same content that the monoid
+    cannot tell from w, trying every candidate with at most bound
+    occurrences per letter.  Returns the first hit in (length, alphabet)
+    order, or None.
 
-    decide may be a callable Identity -> bool or a Monoid (then table
-    satisfaction is the test; for a subword quotient the candidates are
-    prescreened by evaluating both sides under the letter-to-itself
-    substitution, which can only discard words the full check would
-    reject).  None does not prove w is an isoterm, only that no witness
-    exists within the bound.
+    For a subword quotient the candidates are prescreened by evaluating
+    both sides under the letter-to-itself substitution, which can only
+    discard words the full check would reject.  None does not prove w is
+    an isoterm, only that no witness exists within the bound.
     """
-    from .words import Identity, iter_words
-
     alphabet = tuple(sorted(w.content(), key=letter_key))
     if not alphabet:
         return None
-    if bound is None:
-        bound = w.max_occ() + 2
     if bound < w.max_occ():
         raise ValueError(f"bound {bound} is below the occurrence count of {w}")
     n = len(alphabet)
@@ -314,17 +321,11 @@ def isoterm_search(w: Word, decide, bound: Optional[int] = None):
                              f"than {MAX_ISOTERM_LETTERS} letters in all for {w}")
 
     prescreen = None
-    if isinstance(decide, ReesQuotient):
-        monoid = decide
+    if isinstance(monoid, ReesQuotient):
         phi = {letter: monoid.letter_index(letter) for letter in alphabet}
         target = monoid.evaluate(w, phi)
         prescreen = lambda u: monoid.evaluate(u, phi) == target
-    if isinstance(decide, Monoid):
-        monoid = decide
-        cap = max(4, len(alphabet))
-        test = lambda ident: monoid.satisfies(ident, max_letters=cap)
-    else:
-        test = decide
+    cap = max(4, len(alphabet))
 
     content = w.content()
     for u in iter_words(alphabet, bound * n, min_len=n):
@@ -334,6 +335,6 @@ def isoterm_search(w: Word, decide, bound: Optional[int] = None):
             continue
         if prescreen is not None and not prescreen(u):
             continue
-        if test(Identity(w, u)):
+        if monoid.satisfies(Identity(w, u), max_letters=cap):
             return u
     return None

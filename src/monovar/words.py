@@ -214,14 +214,8 @@ class Identity:
     def content(self) -> frozenset[Letter]:
         return self.lhs.content() | self.rhs.content()
 
-    def is_trivial(self) -> bool:
-        return self.lhs == self.rhs
-
     def reverse(self) -> "Identity":
         return Identity(self.lhs.reverse(), self.rhs.reverse())
-
-    def swap(self) -> "Identity":
-        return Identity(self.rhs, self.lhs)
 
     def substitute(self, xi: Substitution) -> "Identity":
         return Identity(substitute(self.lhs, xi), substitute(self.rhs, xi))

@@ -11,18 +11,19 @@ from monovar.catalog import (
     b_word,
     beta,
     c_oracle_word,
+    code_of,
+    coded_identity,
     d_oracle_word,
     delta,
     gamma,
     identity_system,
     jkk_basis,
-    named_identity,
     w_family,
     w_family_split,
     w_family_squared,
     w_mixed,
 )
-from monovar.decomposition import decompose, depth
+from monovar.decomposition import decompose, profile
 from monovar.words import EMPTY, L, Letter, Word, parse_word, substitute
 
 
@@ -61,13 +62,13 @@ def test_alpha_1_is_sigma1_with_t_erased():
 
 def test_named_identities():
     assert str(IDENTITY_20) == "xyxzx = xyxz"
-    assert named_identity("(20)") == IDENTITY_20
-    assert named_identity("sigma1") == SIGMA1
-    assert named_identity("sigma2") == SIGMA2
+    assert coded_identity("(20)") == IDENTITY_20
+    assert coded_identity("sigma1") == SIGMA1
+    assert coded_identity("sigma2") == SIGMA2
     assert len(PHI) == 3
     for code in ["(17)", "(19)", "(22)", "nope"]:
         with pytest.raises(KeyError):
-            named_identity(code)
+            coded_identity(code)
 
 
 def test_identity_systems():
@@ -226,14 +227,12 @@ def test_depth_index_law(k):
     for w in sides:
         for letter in w.content():
             if letter.index is not None:
-                assert depth(w, letter) == letter.index, (w, letter)
-    assert depth(beta(k).lhs, L("x")) == k + 1
-    assert depth(beta(k).rhs, L("x")) == math.inf
+                assert profile(w).depth(letter) == letter.index, (w, letter)
+    assert profile(beta(k).lhs).depth(L("x")) == k + 1
+    assert profile(beta(k).rhs).depth(L("x")) == math.inf
 
 
 def test_coded_identity_resolves_parametric_codes():
-    from monovar.catalog import code_of, coded_identity
-
     assert coded_identity("sigma2") == SIGMA2
     assert coded_identity("alpha:2") == alpha(2)
     assert coded_identity("beta:1") == beta(1)

@@ -1,9 +1,12 @@
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import monovar
 from monovar.catalog import delta
 from monovar.cli import main
 from monovar.decomposition import profile, render_depths
@@ -241,9 +244,12 @@ def test_unknown_subcommand_exits_with_usage_error():
 
 
 def test_module_entry_point_runs():
+    # the child imports the same monovar as this suite, installed or not
+    src = str(Path(monovar.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "monovar.cli", "depth", WORD],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
     assert "x:3 y:2 z:1 s:inf t:0" in proc.stdout
     assert "elapsed:" in proc.stderr

@@ -3,15 +3,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from monovar.decomposition import (
-    Profile,
-    decompose,
-    depth,
-    depth_profile,
-    render_depths,
-    restrictor,
-    stabilization,
-)
+from monovar.decomposition import Profile, decompose, profile, render_depths
 from monovar.catalog import delta
 from monovar.words import EMPTY, L, Word, iter_words, parse_word
 
@@ -38,7 +30,7 @@ def test_running_example_level_3_and_beyond():
     assert decompose(W, 3).render() == want
     assert decompose(W, 7).render() == want
     assert decompose(W).render() == want
-    assert stabilization(W) == 3
+    assert profile(W).stab == 3
 
 
 # Restrictors of the running example, for every letter, occurrence and
@@ -63,7 +55,7 @@ def test_restrictor_table_of_running_example():
         letter = L(name)
         for k, values in by_level.items():
             for i, want in enumerate(values, start=1):
-                got = restrictor(W, letter, i, k)
+                got = profile(W).restrictor(letter, i, k)
                 want_letter = None if want is None else L(want)
                 assert got == want_letter, (name, i, k, got)
                 if k != 5:
@@ -75,13 +67,13 @@ def test_restrictor_table_of_running_example():
 
 def test_restrictor_rejects_missing_occurrence():
     with pytest.raises(ValueError):
-        restrictor(W, L("t"), 2, 0)
+        profile(W).restrictor(L("t"), 2, 0)
     with pytest.raises(ValueError):
-        restrictor(W, L("q"), 1, 0)
+        profile(W).restrictor(L("q"), 1, 0)
 
 
 def test_depth_profile_of_running_example():
-    prof = depth_profile(W)
+    prof = profile(W).depth_profile()
     assert prof[L("x")] == 3
     assert prof[L("y")] == 2
     assert prof[L("z")] == 1
@@ -93,21 +85,21 @@ def test_depth_profile_of_running_example():
 def test_empty_word():
     d = decompose(EMPTY)
     assert d.render() == "λ·[λ]"
-    assert stabilization(EMPTY) == 0
+    assert profile(EMPTY).stab == 0
 
 
 def test_single_letter():
     w = parse_word("x")
     assert decompose(w, 0).render() == "λ·[λ]·x·[λ]"
-    assert depth(w, L("x")) == 0
+    assert profile(w).depth(L("x")) == 0
 
 
 def test_square_word_never_splits():
     w = parse_word("xyxy")
-    assert stabilization(w) == 0
+    assert profile(w).stab == 0
     assert decompose(w).render() == "λ·[xyxy]"
-    assert depth(w, L("x")) == math.inf
-    assert depth(w, L("y")) == math.inf
+    assert profile(w).depth(L("x")) == math.inf
+    assert profile(w).depth(L("y")) == math.inf
 
 
 # The slow reference: levels and depths straight from their definitions.

@@ -2,7 +2,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from monovar.catalog import IDENTITY_20, PHI, SIGMA2, delta, jkk_basis
+from monovar import deduction
+from monovar.catalog import IDENTITY_20, PHI, SIGMA2, delta, identity_system
 from monovar.deciders import decide, parse_variety
 from monovar.deduction import (
     Deduction,
@@ -15,7 +16,18 @@ from monovar.deduction import (
     parse_deduction,
     step,
 )
-from monovar.words import EMPTY, Identity, Letter, Word, parse_identity, parse_word, substitute
+from monovar.words import (
+    EMPTY,
+    Identity,
+    L,
+    Letter,
+    Word,
+    iter_matches,
+    iter_words,
+    parse_identity,
+    parse_word,
+    substitute,
+)
 
 pw = parse_word
 pi = parse_identity
@@ -200,3 +212,53 @@ def test_bounded_derive_validates_bounds():
 def test_bounded_derive_respects_max_len():
     # the only route to xyxz from xyxzx passes through a length-6 word
     assert bounded_derive(PHI, IDENTITY_20, 5, 4) is None
+
+
+# The slow reference for _successors: a fresh matcher run on every factor
+# w[i:j], keeping the matches that cover the whole factor.
+
+def successors_by_factor(w, system, max_len):
+    seen = {}
+    for ident in system:
+        sides = (ident.lhs, ident.rhs)
+        for source, target in (sides, sides[::-1]):
+            for i in range(len(w) + 1):
+                for j in range(i, len(w) + 1):
+                    factor = w[i:j]
+                    for stop, xi in iter_matches(source.letters, factor.letters):
+                        if stop != len(factor):
+                            continue
+                        xi = {letter: Word(image) for letter, image in xi.items()}
+                        nxt = w[:i] + substitute(target, xi) + w[j:]
+                        if nxt == w or len(nxt) > max_len or nxt in seen:
+                            continue
+                        seen[nxt] = step(ident, xi, w[:i], w[j:])
+    return sorted(seen.items(), key=lambda item: item[0].sort_key())
+
+
+# In x = yx^2, yx^2 -> x reaches x from xx through the factor x (y->x,
+# x->1) and through the whole word (y->1, x->x). The matcher finds the
+# longer factor first; the per-factor order records the shorter one.
+@pytest.mark.parametrize("name", ["phi", "phi+", "sigma", "x = yx^2"])
+def test_successors_match_the_per_factor_search(name):
+    system = identity_system(name) if "=" not in name else [pi(name)]
+    words = list(iter_words((L("x"), L("y"), L("z")), 4))
+    assert len(words) == 121
+    for w in words:
+        assert (deduction._successors(w, system, 6)
+                == successors_by_factor(w, system, 6)), w
+
+
+def test_successors_search_once_per_start_position(monkeypatch):
+    calls = []
+
+    def counting(pattern, target, start=0):
+        calls.append(start)
+        return iter_matches(pattern, target, start)
+
+    monkeypatch.setattr(deduction, "iter_matches", counting)
+    system = identity_system("phi+")
+    w = pw("xyxzyx")
+    deduction._successors(w, system, 8)
+    # two sides of each of the 5 identities, one run per start 0..6
+    assert len(calls) == 2 * len(system) * (len(w) + 1) == 70
