@@ -166,16 +166,28 @@ def _h2_depth(level: int, m: int) -> Claim:
     return Claim(code, fail)
 
 
-_SINGLETON_FAMILIES = ("T", "SL", "E", "K", "LRB", "RRB", "L", "M",
-                       "D", "N", "O")
-_INDEXED_FAMILIES = ("C", "DK", "F", "H", "I", "J")
+def _order(side: str, order: Callable[[Profile], tuple[Letter, ...]]) -> Claim:
+    """Both sides list their letters in the same order of first (LRB) or
+    last (RRB) occurrences."""
+    def fail(pu: Profile, pv: Profile) -> Optional[Reason]:
+        a, b = order(pu), order(pv)
+        if a == b:
+            return None
+        return Reason("ini", f"{side}-occurrence orders differ: "
+                      f"{''.join(map(str, a))} vs {''.join(map(str, b))}")
+    return Claim("ini", fail, f"same {side}-occurrence order")
+
+
+def _last_order(p: Profile) -> tuple[Letter, ...]:
+    """Letters by last occurrence, rightmost first: the reverse's ini."""
+    return tuple(sorted(p.ini, key=lambda x: p.positions[x][-1], reverse=True))
 
 
 @dataclass(frozen=True)
 class Variety:
-    """A catalog variety name: a family tag, optional indices, and a dual
-    flag.  DK covers the indexed series rendered D1, D2, ...; the family D
-    is the limit variety, which has no exact decider."""
+    """A catalog variety name: a family of the variety table, its indices
+    and a dual flag.  An index of 0 is not written, so D with k = 0 is the
+    limit variety and D1, D2, ... are the indexed series."""
 
     family: str
     k: int = 0
@@ -183,28 +195,24 @@ class Variety:
     dual: bool = False
 
     def __post_init__(self):
-        if self.family not in _SINGLETON_FAMILIES + _INDEXED_FAMILIES:
+        row = _TABLE.get(self.family)
+        if row is None:
             raise ValueError(f"unknown variety family {self.family!r}")
-        if self.family == "C" and self.k < 2:
-            raise ValueError("C needs an index >= 2")
-        if self.family in ("DK", "F", "H", "I") and self.k < 1:
-            raise ValueError(f"{self.family} needs an index >= 1")
-        if self.family == "J" and not 1 <= self.m <= self.k:
-            raise ValueError("J needs indices k >= 1 and 1 <= m <= k")
+        if self.family == "J":
+            if not 1 <= self.m <= self.k:
+                raise ValueError("J needs indices k >= 1 and 1 <= m <= k")
+        elif row.least is None:
+            if self.k or self.m:
+                raise ValueError(f"{self.family} takes no index")
+        elif self.m:
+            raise ValueError(f"{self.family} takes one index")
+        elif self.k < row.least:
+            raise ValueError(f"{self.family} needs an index >= {row.least}")
 
     @property
     def name(self) -> str:
-        if self.family == "C":
-            base = f"C{self.k}"
-        elif self.family == "DK":
-            base = f"D{self.k}"
-        elif self.family == "J":
-            base = f"J{self.k}.{self.m}"
-        elif self.family in ("F", "H", "I"):
-            base = f"{self.family}{self.k}"
-        else:
-            base = self.family
-        return base + ("~" if self.dual else "")
+        return (self.family + (str(self.k) if self.k else "")
+                + (f".{self.m}" if self.m else "") + ("~" if self.dual else ""))
 
     def __str__(self) -> str:
         return self.name
@@ -218,63 +226,86 @@ class Variety:
         return replace(self, dual=not self.dual)
 
 
+_NAME = re.compile(r"([A-Z]+)(\d*)(?:\.(\d+))?")
+
+
 def parse_variety(text: str) -> Variety:
     t = text.strip().upper()
     dual = t.endswith("~")
     if dual:
         t = t[:-1]
-    if t in _SINGLETON_FAMILIES:
-        return Variety(t, dual=dual)
-    hit = re.fullmatch(r"([CDFHI])(\d+)", t)
-    if hit:
-        family = {"D": "DK"}.get(hit.group(1), hit.group(1))
-        return Variety(family, k=int(hit.group(2)), dual=dual)
-    hit = re.fullmatch(r"J(\d+)\.(\d+)", t)
-    if hit:
-        return Variety("J", k=int(hit.group(1)), m=int(hit.group(2)), dual=dual)
+    hit = _NAME.fullmatch(t)
+    if hit and hit.group(1) in _TABLE:
+        family, k, m = hit.groups()
+        v = Variety(family, int(k or 0), int(m or 0), dual)
+        if v.name.rstrip("~") == t:   # rejects D0 and leading zeros
+            return v
     raise ValueError(
         f"cannot parse variety {text!r}; expected one of T, SL, C<n>, D<k>, "
         "D, E, F<k>, H<k>, I<k>, J<k>.<m>, K, LRB, RRB, L, M, N, O, "
         "optionally suffixed with ~ for the dual")
 
 
-_C2 = Variety("C", k=2)
+class Family(NamedTuple):
+    """A row of the variety table: the least index of a member (None for a
+    family without one) and the rule for a member v.  The rule gives the
+    variety v extends (None at a root) and the one claim v adds, or the
+    word whose Rees quotient decides v by brute force, or the ValueError
+    text when v has no exact decider."""
 
-# The claim table: every claim-decided variety as the variety it extends
-# (None at a root) and the one claim it adds.  C and DK stand for C2 and
-# D1, as their higher members are decided by oracles.  K adds h1h2 at
-# every level up to stabilization, so decide builds its claims per identity.
-_TABLE: dict[str, Callable[[Variety], tuple[Optional[Variety], Claim]]] = {
-    "T": lambda v: (None, Claim("trivial", lambda pu, pv: None, "the trivial "
-                                "variety satisfies every identity")),
-    "SL": lambda v: (None, Claim("content", _fail_content,
-                                 "same letters on both sides")),
-    "C": lambda v: (None, Claim("letters", _fail_letters)),
-    "DK": lambda v: (_C2, Claim("skeleton", _fail_skeleton)),
-    "E": lambda v: (_C2, _h1(0)),
-    "F": lambda v: (_C2, _h12(v.k - 1)),
-    "H": lambda v: (Variety("F", k=v.k), _h1_depth(v.k)),
-    "I": lambda v: (Variety("F", k=v.k), _h1(v.k)),
-    "J": lambda v: (Variety("I", k=v.k), _h2_depth(v.k, v.m)),
+    least: Optional[int]
+    rule: Callable[[Variety], object]
+
+
+# The variety table.  Only C2 and D1 of their series are decided by
+# claims, the higher members by oracles.  K adds h1h2 at every level up to
+# stabilization, so decide builds its own claims per identity.
+_TABLE: dict[str, Family] = {
+    "T": Family(None, lambda v: (None, Claim(
+        "trivial", lambda pu, pv: None,
+        "the trivial variety satisfies every identity"))),
+    "SL": Family(None, lambda v: (None, Claim(
+        "content", _fail_content, "same letters on both sides"))),
+    "C": Family(2, lambda v: (None, Claim("letters", _fail_letters))
+                if v.k == 2 else c_oracle_word(v.k)),
+    "D": Family(0, lambda v: (
+        "D has no exact decider; semi_decide_d gives a sound partial answer"
+        if v.k == 0 else (_C2, Claim("skeleton", _fail_skeleton)) if v.k == 1
+        else d_oracle_word(v.k))),
+    "E": Family(None, lambda v: (_C2, _h1(0))),
+    "F": Family(1, lambda v: (_C2, _h12(v.k - 1))),
+    "H": Family(1, lambda v: (Variety("F", k=v.k), _h1_depth(v.k))),
+    "I": Family(1, lambda v: (Variety("F", k=v.k), _h1(v.k))),
+    "J": Family(1, lambda v: (Variety("I", k=v.k), _h2_depth(v.k, v.m))),
+    "K": Family(None, lambda v: (_C2, None)),
+    "LRB": Family(None, lambda v: (None, _order("first", lambda p: p.ini))),
+    "RRB": Family(None, lambda v: (None, _order("last", _last_order))),
+    "L": Family(None, lambda v: ORACLE_WORD_L),
+    "M": Family(None, lambda v: ORACLE_WORD_M),
+    "N": Family(None, lambda v: "N has no exact decider"),
+    "O": Family(None, lambda v: "O has no exact decider"),
 }
+
+_C2 = Variety("C", k=2)
 
 
 @lru_cache(maxsize=256)
-def _claims(v: Variety) -> tuple[Claim, ...]:
-    """The claims v checks, from the root of the table down to its own."""
-    parent, claim = _TABLE[v.family](v)
-    return (() if parent is None else _claims(parent)) + (claim,)
+def _rule(v: Variety):
+    """What decides v: its claims from the root of the table down to its
+    own, an oracle word, or the ValueError text."""
+    rule = _TABLE[v.family].rule(v)
+    if not isinstance(rule, tuple):
+        return rule
+    parent, claim = rule
+    return ((() if parent is None else _rule(parent))
+            + (() if claim is None else (claim,)))
 
 
-def _k_claims(pu: Profile, pv: Profile) -> Iterator[Claim]:
-    yield from _claims(_C2)
+def _k_claims(base: tuple[Claim, ...], pu: Profile,
+              pv: Profile) -> Iterator[Claim]:
+    yield from base
     for j in range(max(pu.stab, pv.stab) + 1):
         yield _h12(j)
-
-
-def forces_group(ident: Identity) -> bool:
-    """True when the contents differ, so only group varieties satisfy it."""
-    return ident.lhs.content() != ident.rhs.content()
 
 
 def _oracle_verdict(gen: Word, ident: Identity, max_letters: int) -> Verdict:
@@ -294,31 +325,14 @@ def decide(v: Variety, ident: Identity, max_letters: int = 4) -> Verdict:
     """
     if v.dual:
         return decide(v.base, ident.reverse(), max_letters)
-    fam = v.family
-    if fam in ("D", "N", "O"):
-        hint = "; semi_decide_d gives a sound partial answer" if fam == "D" else ""
-        raise ValueError(f"{v.name} has no exact decider{hint}")
-    u, w = ident.lhs, ident.rhs
-    if fam == "LRB" or fam == "RRB":
-        a, b = (u, w) if fam == "LRB" else (u.reverse(), w.reverse())
-        side = "first" if fam == "LRB" else "last"
-        if a.ini() == b.ini():
-            return _holds(Reason("ini", f"same {side}-occurrence order"))
-        return _fails(Reason("ini", f"{side}-occurrence orders differ: "
-                             f"{''.join(map(str, a.ini()))} vs "
-                             f"{''.join(map(str, b.ini()))}"))
-    if fam == "C" and v.k >= 3:
-        return _oracle_verdict(c_oracle_word(v.k), ident, max_letters)
-    if fam == "DK" and v.k >= 2:
-        return _oracle_verdict(d_oracle_word(v.k), ident, max_letters)
-    if fam == "L":
-        return _oracle_verdict(ORACLE_WORD_L, ident, max_letters)
-    if fam == "M":
-        return _oracle_verdict(ORACLE_WORD_M, ident, max_letters)
-
-    pu, pw = profile(u), profile(w)
+    rule = _rule(v)
+    if isinstance(rule, str):
+        raise ValueError(rule)
+    if isinstance(rule, Word):
+        return _oracle_verdict(rule, ident, max_letters)
+    pu, pw = profile(ident.lhs), profile(ident.rhs)
     passed = []
-    for claim in _k_claims(pu, pw) if fam == "K" else _claims(v):
+    for claim in _k_claims(rule, pu, pw) if v.family == "K" else rule:
         bad = claim.fail(pu, pw)
         if bad:
             return _fails(bad)
@@ -357,7 +371,7 @@ def chain_of(kmax: int) -> list[Variety]:
     if kmax < 1:
         raise ValueError("kmax must be >= 1")
     chain = [Variety("T"), Variety("SL"), Variety("C", k=2),
-             Variety("DK", k=1), Variety("E")]
+             Variety("D", k=1), Variety("E")]
     for k in range(1, kmax + 1):
         chain.append(Variety("F", k=k))
         chain.append(Variety("H", k=k))
@@ -403,7 +417,7 @@ def _plan(kmax: int) -> tuple[tuple[int, Callable], ...]:
     chain = chain_of(kmax)
     slot = {v: i for i, v in enumerate(chain, 1)}
     return tuple((slot.get(parent, 0), claim.fail)
-                 for parent, claim in (_TABLE[v.family](v) for v in chain))
+                 for parent, claim in (_TABLE[v.family].rule(v) for v in chain))
 
 
 def chain_bits(u: Word, v: Word, kmax: int) -> tuple[bool, ...]:
@@ -480,9 +494,14 @@ def verify_chain(kmax: int = 3, letters: int = 3, max_len: int = 6,
     only for pairs that agree on letter classes, plus an evenly spaced
     sample of cross_check disagreeing pairs as a safety net.
     """
+    chain = chain_of(kmax)
+    if not 1 <= letters <= 3:
+        raise ValueError(f"letters must be 1, 2 or 3 (x, y, z), not {letters}")
+    if max_len < 0 or cross_check < 0:
+        raise ValueError("max_len and cross_check must be >= 0, not "
+                         f"{max_len} and {cross_check}")
     alphabet = tuple(Letter(base) for base in ("x", "y", "z")[:letters])
     words = list(iter_words(alphabet, max_len))
-    chain = chain_of(kmax)
 
     # The sweep owns its profiles, so it neither fills nor thrashes the
     # shared profile cache.

@@ -100,13 +100,6 @@ class Word:
         """1-based positions of all occurrences of letter."""
         return tuple(i + 1 for i, l in enumerate(self.letters) if l == letter)
 
-    def ell(self, letter: Letter, i: int) -> int:
-        """Length of the shortest prefix containing i occurrences of letter."""
-        pos = self.positions(letter)
-        if i < 1 or i > len(pos):
-            raise ValueError(f"{self} has no occurrence {i} of {letter}")
-        return pos[i - 1]
-
     def simple(self) -> frozenset[Letter]:
         return frozenset(l for l in self.content() if self.occ(l) == 1)
 
@@ -128,10 +121,6 @@ class Word:
     def delete(self, letters: Iterable[Letter]) -> "Word":
         drop = frozenset(letters)
         return Word(l for l in self.letters if l not in drop)
-
-    def retain(self, letters: Iterable[Letter]) -> "Word":
-        keep = frozenset(letters)
-        return Word(l for l in self.letters if l in keep)
 
     def reverse(self) -> "Word":
         return Word(reversed(self.letters))
@@ -289,13 +278,3 @@ def iter_words(alphabet: Sequence[Letter], max_len: int, min_len: int = 0) -> It
         for combo in itertools.product(alphabet, repeat=n):
             yield Word(combo)
 
-
-def fresh_letter(base: str, used: Iterable[Letter]) -> Letter:
-    """Smallest-indexed letter with the given base not in used."""
-    taken = {l.index for l in used if l.base == base}
-    if None not in taken:
-        return Letter(base)
-    i = 0
-    while i in taken:
-        i += 1
-    return Letter(base, i)

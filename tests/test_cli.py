@@ -1,4 +1,6 @@
 import os
+import re
+import shlex
 import subprocess
 import sys
 import time
@@ -112,6 +114,22 @@ def test_verify_chain_output_is_reproducible(capsys):
     _, first, _ = run(capsys, *args)
     _, second, _ = run(capsys, *args)
     assert first == second
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--letters", "4"), ("--letters", "0"), ("--maxlen", "-1"),
+    ("--cross-check", "-1"),
+])
+def test_verify_chain_rejects_an_alphabet_or_budget_it_cannot_sweep(
+        capsys, flag, value):
+    args = {"--kmax": "1", "--letters": "2", "--maxlen": "3",
+            "--cross-check": "50", flag: value}
+    code, out, err = run(capsys, "verify-chain",
+                         *(x for pair in args.items() for x in pair))
+    assert code == 2 and out == ""
+    message = ("letters must be 1, 2 or 3" if flag == "--letters"
+               else "max_len and cross_check must be >= 0")
+    assert f"error: {message}" in err
 
 
 def test_environment_does_not_reach_the_parser(monkeypatch, capsys):
@@ -253,3 +271,25 @@ def test_module_entry_point_runs():
     assert proc.returncode == 0
     assert "x:3 y:2 z:1 s:inf t:0" in proc.stdout
     assert "elapsed:" in proc.stderr
+
+
+def readme_tour() -> list[tuple[str, str]]:
+    """Each "$ monovar ..." command in the README's code blocks, with the
+    stdout shown under it (up to the next blank line or block end)."""
+    readme = Path(__file__).parents[1] / "README.md"
+    tour = []
+    for block in re.findall(r"^```\n(.*?)^```$", readme.read_text("utf-8"),
+                            re.S | re.M):
+        for chunk in re.split(r"\n\n(?=\$ monovar )", block.strip("\n")):
+            if chunk.startswith("$ monovar "):
+                command, _, shown = chunk.partition("\n")
+                tour.append((command, shown + "\n"))
+    return tour
+
+
+def test_readme_tour_is_reproduced(capsys):
+    tour = readme_tour()
+    assert len(tour) == 12
+    for command, shown in tour:
+        _, out, _ = run(capsys, *shlex.split(command)[2:])
+        assert out == shown, command

@@ -18,7 +18,6 @@ from monovar.deciders import (
     chain_bits,
     chain_of,
     decide,
-    forces_group,
     parse_variety,
     semi_decide_d,
     separating_witness,
@@ -56,7 +55,8 @@ def test_parse_is_case_insensitive_and_handles_duals():
     assert V("E~").base == V("E")
 
 
-@pytest.mark.parametrize("bad", ["C1", "C0", "D0", "F0", "J0.1", "J2.3", "J2.0", "X9", ""])
+@pytest.mark.parametrize("bad", ["C1", "C0", "D0", "F0", "J0.1", "J2.3", "J2.0", "X9", "",
+                                 "D01", "E2", "F", "J2", "F2.1"])
 def test_parse_rejects_malformed_names(bad):
     with pytest.raises(ValueError):
         V(bad)
@@ -118,7 +118,10 @@ def test_only_the_trivial_variety_accepts_a_renaming():
 
 def test_sl_is_content_comparison():
     assert decide(V("SL"), ident("xy = yx^2")).holds
+    assert decide(V("SL"), ident("xy = yx")).holds
+    # sides with different letters: only group varieties satisfy these
     assert not decide(V("SL"), ident("xy = x")).holds
+    assert not decide(V("SL"), ident("x = y")).holds
 
 
 def test_c2_counts_occurrences_up_to_two():
@@ -282,9 +285,12 @@ def test_semi_decide_d_known_answers():
 
 
 def test_forces_group():
-    assert forces_group(ident("x = y"))
-    assert forces_group(ident("xy = x"))
-    assert not forces_group(ident("xy = yx"))
+    # sides with different letters force a group: along the chain only T
+    # satisfies them, and SL already rejects them on its content claim
+    for text in ("x = y", "xy = x"):
+        assert [v.name for v in chain_of(1) if decide(v, ident(text))] == ["T"]
+        assert decide(V("SL"), ident(text)).reasons[0].claim == "content"
+    assert decide(V("SL"), ident("xy = yx")).holds
 
 
 # ---------------------------------------------------------------- the chain
@@ -361,25 +367,43 @@ CLAIM_CODES = {
 }
 
 
+# The rest of the variety table: a root claim, an oracle, or no decider.
+OTHER_CODES = {"LRB": "ini", "RRB": "ini", "C3": "oracle", "D2": "oracle",
+               "L": "oracle", "M": "oracle"}
+
+
 def test_claim_codes_are_pinned():
     names = [v.name for v in chain_of(3)] + ["K"]
     assert names == list(CLAIM_CODES)
-    for name in names:
+    for name, codes in {**CLAIM_CODES, **OTHER_CODES}.items():
         verdict = decide(V(name), ident("xyx = xyx"))
         assert verdict.holds
-        assert ", ".join(r.claim for r in verdict.reasons) == CLAIM_CODES[name]
+        assert ", ".join(r.claim for r in verdict.reasons) == codes
+    for name, code in OTHER_CODES.items():
+        assert failed_claim(name, ident("x = y")) == code
+    with pytest.raises(ValueError, match="^D has no exact decider; semi_decide_d"):
+        decide(V("D"), ident("x = x"))
+    for name in ("N", "O"):
+        with pytest.raises(ValueError, match=f"^{name} has no exact decider$"):
+            decide(V(name), ident("x = x"))
 
 
-@pytest.mark.parametrize("letters, max_len", [("xy", 5), ("xyz", 4)])
-def test_deciders_are_equivalence_relations(letters, max_len):
-    """chain_of(2) through chain_bits, and K through decide, accept a
-    reflexive, symmetric and transitive relation on words."""
+@pytest.mark.parametrize("letters, max_len, decided", [
+    pytest.param("xy", 5, ("K",), id="xy-5"),
+    pytest.param("xyz", 4, ("K",), id="xyz-4"),
+    pytest.param("xy", 4, ("LRB", "RRB", "C3"), id="xy-4"),
+])
+def test_deciders_are_equivalence_relations(letters, max_len, decided):
+    """chain_of(2) through chain_bits, and the decided varieties through
+    decide, accept a reflexive, symmetric and transitive relation on
+    words."""
     words = list(iter_words(tuple(Letter(b) for b in letters), max_len))
-    names = [v.name for v in chain_of(2)] + ["K"]
+    names = [v.name for v in chain_of(2)] + list(decided)
     accepted = {name: {u: set() for u in words} for name in names}
     for u in words:
         for w in words:
-            bits = chain_bits(u, w, 2) + (decide(V("K"), Identity(u, w)).holds,)
+            bits = chain_bits(u, w, 2) + tuple(
+                decide(V(name), Identity(u, w)).holds for name in decided)
             for name, bit in zip(names, bits):
                 if bit:
                     accepted[name][u].add(w)
@@ -391,6 +415,21 @@ def test_deciders_are_equivalence_relations(letters, max_len):
                 assert u in acc[w], (name, "symmetric", str(u), str(w))
                 # u ~ w and w ~ z give u ~ z
                 assert acc[w] <= acc[u], (name, "transitive", str(u), str(w))
+
+
+def test_chain_acceptance_survives_multiplication():
+    """An accepted u = w stays accepted as au = aw and ua = wa for every
+    letter a, as in any equational theory."""
+    letters = (Letter("x"), Letter("y"))
+    words = list(iter_words(letters, 4))
+    for u in words:
+        for w in words:
+            bits = chain_bits(u, w, 2)
+            for a in (Word([x]) for x in letters):
+                for moved in (chain_bits(a + u, a + w, 2),
+                              chain_bits(u + a, w + a, 2)):
+                    assert all(b <= m for b, m in zip(bits, moved)), \
+                        (str(u), str(w), str(a))
 
 
 def test_verify_inclusion_direction():

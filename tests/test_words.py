@@ -8,7 +8,6 @@ from monovar.words import (
     L,
     Letter,
     Word,
-    fresh_letter,
     identity,
     iter_matches,
     iter_words,
@@ -82,16 +81,13 @@ def test_iter_matches_free_end_in_search_order():
     assert stops == [0, 1, 2, 3, 3]
 
 
-def test_occurrences_and_ell():
+def test_occurrences_and_positions():
     w = parse_word("xyxzytszxs")
     x = L("x")
     assert w.occ(x) == 3
     assert w.positions(x) == (1, 3, 9)
-    assert w.ell(x, 1) == 1
-    assert w.ell(x, 3) == 9
-    assert w.ell(L("t"), 1) == 6
-    with pytest.raises(ValueError):
-        w.ell(x, 4)
+    assert w.positions(L("t")) == (6,)
+    assert w.positions(L("u")) == ()
 
 
 def test_simple_multiple():
@@ -100,17 +96,13 @@ def test_simple_multiple():
     assert w.multiple() == {L("x"), L("y"), L("z"), L("s")}
 
 
-def test_retain_example():
-    w = parse_word("xyxzytszxs")
-    assert w.retain([L("z"), L("t")]) == parse_word("ztz")
-
-
 def test_delete_retain_partition():
     w = parse_word("xyxzytszxs")
-    kept = w.retain(w.multiple())
+    kept = w.delete(w.simple())
     dropped = w.delete(w.multiple())
     assert len(kept) + len(dropped) == len(w)
     assert dropped == parse_word("t")
+    assert w.delete([L("x"), L("y"), L("s")]) == parse_word("ztz")
 
 
 def test_ini_first_occurrence_order():
@@ -150,12 +142,6 @@ def test_iter_words_canonical_order():
     assert len(ws) == 7
 
 
-def test_fresh_letter():
-    used = [L("x"), L("x0"), L("x1"), L("y")]
-    assert fresh_letter("x", used) == L("x2")
-    assert fresh_letter("z", used) == L("z")
-
-
 @given(words_st)
 def test_parse_render_roundtrip(w):
     assert parse_word(str(w)) == w
@@ -168,8 +154,9 @@ def test_reverse_involution(w):
 
 @given(words_st, st.sets(letters_st))
 def test_delete_retain_complement(w, s):
-    assert len(w.delete(s)) + len(w.retain(s)) == len(w)
-    assert w.retain(s).content() <= s
+    # deleting s retains exactly the occurrences of the other letters
+    assert len(w.delete(s)) + sum(w.occ(x) for x in s) == len(w)
+    assert w.delete(s).content() == w.content() - s
 
 
 @given(words_st, words_st)
