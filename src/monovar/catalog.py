@@ -199,34 +199,6 @@ def w_family(n: int, pi: Optional[Sequence[int]] = None,
     return w_family_split(n, 0, n, pi, tau)
 
 
-def w_family_squared(n: int, pi: Optional[Sequence[int]] = None,
-                     tau: Optional[Sequence[int]] = None) -> Word:
-    return w_family_split(n, 0, 0, pi, tau)
-
-
-def w_mixed(n: int, m: int, theta: Sequence[int], squared: bool = False) -> Word:
-    """z1 t1 .. zn tn, x, the theta-shuffle of z1..z(n+m), x, then the tail
-    t(n+1) z(n+1) ... The squared variant puts x^2 before the shuffle."""
-    if n < 0 or m < 0 or n + m == 0:
-        raise ValueError("need n, m >= 0 with n + m > 0")
-    theta = list(theta)
-    _check_perm(theta, n + m, "theta")
-    x = Letter("x")
-    letters: list[Letter] = []
-    for i in range(1, n + 1):
-        letters.extend([_z(i), _t(i)])
-    if squared:
-        letters.extend([x, x])
-    else:
-        letters.append(x)
-    letters.extend(_z(theta[i - 1]) for i in range(1, n + m + 1))
-    if not squared:
-        letters.append(x)
-    for i in range(n + 1, n + m + 1):
-        letters.extend([_t(i), _z(i)])
-    return Word(letters)
-
-
 # Oracle words: the finite monoid of all subwords of one of these words
 # decides the matching variety.
 

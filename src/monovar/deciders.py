@@ -1,12 +1,16 @@
 """Exact word-problem deciders for the variety catalog.
 
-Most varieties are decided by comparing structural data of the two sides
-of an identity: the sets of once- and repeatedly-occurring letters, the
-word left after deleting repeated letters, and the divider restrictors at
-a fixed decomposition level, optionally guarded by letter depth.  A few
-varieties are decided by brute-force evaluation in a finite generator
-monoid instead.  Dual varieties reverse both sides and reuse the base
-decider.
+Most varieties are decided by claims.  A claim is a key read from one
+word's cached Profile, and it agrees when both sides of an identity have
+equal keys: the letter set, the sets of once- and repeatedly-occurring
+letters, the word left after deleting repeated letters, the order of
+first or last occurrences, or the divider restrictor maps at a fixed
+decomposition level, possibly kept to the letters of small depth.  A
+variety adds one claim to the variety it extends, so every member of the
+chain has a per-word key, and chain_bits and verify_chain compare keys.
+A few varieties are decided by brute-force evaluation in a finite
+generator monoid instead.  Dual varieties reverse both sides and reuse
+the base decider.
 """
 
 from __future__ import annotations
@@ -14,8 +18,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from itertools import islice
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 from .catalog import (
     ORACLE_WORD_L,
@@ -67,28 +70,29 @@ def _fails(reason: Reason) -> Verdict:
 
 
 class Claim(NamedTuple):
-    """A claim's code, its check (None or the Reason for the first
-    mismatch) and the text reported when the sides agree."""
+    """One invariant of a word that a variety compares across the sides.
+
+    key reads one side's profile, and the claim agrees when both sides'
+    keys are equal.  differs builds the Reason for sides whose keys
+    differ; agrees is the text reported when they are equal.
+    """
 
     code: str
-    fail: Callable[[Profile, Profile], Optional[Reason]]
+    key: Callable[[Profile], object]
+    differs: Optional[Callable[[Profile, Profile], Reason]]
     agrees: str = "agrees on both sides"
 
 
-# Checks on two profiles.  Every check past letters runs only on sides
-# whose letter classes agree, since each variety using one extends C2, so
-# both sides' restrictor maps have the same keys.
+# Claims past letters are compared only on sides whose letter classes
+# agree, since each variety using one extends C2, so a differs function
+# finds the same letters in both sides' restrictor maps.
 
-def _fail_content(pu: Profile, pv: Profile) -> Optional[Reason]:
-    if pu.con == pv.con:
-        return None
+def _content_differs(pu: Profile, pv: Profile) -> Reason:
     odd = ", ".join(map(str, sorted(pu.con ^ pv.con, key=letter_key)))
     return Reason("content", f"letter sets differ: {{{odd}}}")
 
 
-def _fail_letters(pu: Profile, pv: Profile) -> Optional[Reason]:
-    if pu.sim == pv.sim and pu.mul == pv.mul:
-        return None
+def _letters_differ(pu: Profile, pv: Profile) -> Reason:
     x = min((pu.sim ^ pv.sim) | (pu.mul ^ pv.mul), key=letter_key)
     left, right = ("once" if x in p.sim else "repeated" if x in p.mul
                    else "missing" for p in (pu, pv))
@@ -96,86 +100,64 @@ def _fail_letters(pu: Profile, pv: Profile) -> Optional[Reason]:
                   "on the right", letter=x)
 
 
-def _fail_skeleton(pu: Profile, pv: Profile) -> Optional[Reason]:
-    if pu.skeleton == pv.skeleton:
-        return None
+def _skeleton_differs(pu: Profile, pv: Profile) -> Reason:
     return Reason("skeleton", "after deleting repeated letters the sides "
                   f"read {pu.skeleton} and {pv.skeleton}")
 
 
-def _mismatch(code: str, which: str, x: Letter, level: int, a: dict,
-              b: dict, note: str = "") -> Reason:
-    ra, rb = (LAMBDA if r is None else r for r in (a[x], b[x]))
-    return Reason(code, f"{which} restrictor of {x} at level {level}{note}: "
-                  f"{ra} vs {rb}", letter=x, level=level)
+_OCCURRENCES = ("first", "second")
 
 
-def _h1(level: int) -> Claim:
-    """First-occurrence restrictors at the level agree for every letter."""
-    code = f"h1@{level}"
-    def fail(pu: Profile, pv: Profile) -> Optional[Reason]:
-        a, b = pu.restrictors(level)[0], pv.restrictors(level)[0]
-        if a == b:
-            return None
-        x = next(x for x in pu.ini if a[x] != b[x])
-        return _mismatch(code, "first", x, level, a, b)
-    return Claim(code, fail)
+def _restrictors(code: str, level: int, which: str,
+                 depth: Optional[int] = None) -> Claim:
+    """The restrictor map at the level of the "first" or "second"
+    occurrences, or the pair of both maps ("both").  With a depth, the
+    map keeps only the letters of depth at most that, that is, the
+    letters whose first occurrence is a divider at that level.
+
+    On the class a depth claim runs on, the parent's claims fix which
+    letters those are, so they are the same on both sides.
+    """
+    i = None if which == "both" else _OCCURRENCES.index(which)
+
+    def key(p: Profile):
+        maps = p.restrictors(level)
+        if i is None:
+            return maps
+        if depth is None:
+            return maps[i]
+        # dividers other than the empty one are first occurrences
+        letters, m = p.word.letters, maps[i]
+        shallow = [letters[q - 1] for q in p.dividers(depth)[1:]]
+        return {x: m[x] for x in shallow if x in m}
+
+    def differs(pu: Profile, pv: Profile) -> Reason:
+        a, b, j = key(pu), key(pv), i
+        if j is None:
+            j = 0 if a[0] != b[0] else 1
+            a, b = a[j], b[j]
+        x = next(x for x in pu.ini if a.get(x) != b.get(x))
+        ra, rb = (LAMBDA if r is None else r for r in (a[x], b[x]))
+        note = (f" (left depth {int(pu.depths[x])} <= {depth})"
+                if which == "second" and depth is not None else "")
+        return Reason(code, f"{_OCCURRENCES[j]} restrictor of {x} at level "
+                      f"{level}{note}: {ra} vs {rb}", letter=x, level=level)
+
+    return Claim(code, key, differs)
 
 
 def _h12(level: int) -> Claim:
-    """Both restrictors at the level agree for every letter."""
-    code = f"h1h2@{level}"
-    def fail(pu: Profile, pv: Profile) -> Optional[Reason]:
-        a, b = pu.restrictors(level), pv.restrictors(level)
-        if a == b:
-            return None
-        i = 0 if a[0] != b[0] else 1
-        x = next(x for x in pu.ini if a[i].get(x) != b[i].get(x))
-        return _mismatch(code, ("first", "second")[i], x, level, a[i], b[i])
-    return Claim(code, fail)
-
-
-def _h1_depth(level: int) -> Claim:
-    """First restrictors at the level agree for letters whose depth on
-    either side is at most the level."""
-    code = f"h1-depth@{level}"
-    def fail(pu: Profile, pv: Profile) -> Optional[Reason]:
-        a, b = pu.restrictors(level)[0], pv.restrictors(level)[0]
-        if a == b:
-            return None
-        for x in pu.ini:
-            if a[x] != b[x] and min(pu.depths[x], pv.depths[x]) <= level:
-                return _mismatch(code, "first", x, level, a, b)
-        return None
-    return Claim(code, fail)
-
-
-def _h2_depth(level: int, m: int) -> Claim:
-    """Second restrictors at the level agree for letters of left-side
-    depth at most m."""
-    code = f"h2-depth@{level}:{m}"
-    def fail(pu: Profile, pv: Profile) -> Optional[Reason]:
-        a, b = pu.restrictors(level)[1], pv.restrictors(level)[1]
-        if a == b:
-            return None
-        for x in pu.ini:
-            if a.get(x) != b.get(x) and pu.depths[x] <= m:
-                return _mismatch(code, "second", x, level, a, b,
-                                 f" (left depth {int(pu.depths[x])} <= {m})")
-        return None
-    return Claim(code, fail)
+    return _restrictors(f"h1h2@{level}", level, "both")
 
 
 def _order(side: str, order: Callable[[Profile], tuple[Letter, ...]]) -> Claim:
     """Both sides list their letters in the same order of first (LRB) or
     last (RRB) occurrences."""
-    def fail(pu: Profile, pv: Profile) -> Optional[Reason]:
+    def differs(pu: Profile, pv: Profile) -> Reason:
         a, b = order(pu), order(pv)
-        if a == b:
-            return None
         return Reason("ini", f"{side}-occurrence orders differ: "
                       f"{''.join(map(str, a))} vs {''.join(map(str, b))}")
-    return Claim("ini", fail, f"same {side}-occurrence order")
+    return Claim("ini", order, differs, f"same {side}-occurrence order")
 
 
 def _last_order(p: Profile) -> tuple[Letter, ...]:
@@ -262,21 +244,27 @@ class Family(NamedTuple):
 # stabilization, so decide builds its own claims per identity.
 _TABLE: dict[str, Family] = {
     "T": Family(None, lambda v: (None, Claim(
-        "trivial", lambda pu, pv: None,
+        "trivial", lambda p: None, None,
         "the trivial variety satisfies every identity"))),
     "SL": Family(None, lambda v: (None, Claim(
-        "content", _fail_content, "same letters on both sides"))),
-    "C": Family(2, lambda v: (None, Claim("letters", _fail_letters))
+        "content", lambda p: p.con, _content_differs,
+        "same letters on both sides"))),
+    "C": Family(2, lambda v: (None, Claim(
+        "letters", lambda p: (p.sim, p.mul), _letters_differ))
                 if v.k == 2 else c_oracle_word(v.k)),
     "D": Family(0, lambda v: (
         "D has no exact decider; semi_decide_d gives a sound partial answer"
-        if v.k == 0 else (_C2, Claim("skeleton", _fail_skeleton)) if v.k == 1
+        if v.k == 0 else (_C2, Claim("skeleton", lambda p: p.skeleton,
+                                     _skeleton_differs)) if v.k == 1
         else d_oracle_word(v.k))),
-    "E": Family(None, lambda v: (_C2, _h1(0))),
+    "E": Family(None, lambda v: (_C2, _restrictors("h1@0", 0, "first"))),
     "F": Family(1, lambda v: (_C2, _h12(v.k - 1))),
-    "H": Family(1, lambda v: (Variety("F", k=v.k), _h1_depth(v.k))),
-    "I": Family(1, lambda v: (Variety("F", k=v.k), _h1(v.k))),
-    "J": Family(1, lambda v: (Variety("I", k=v.k), _h2_depth(v.k, v.m))),
+    "H": Family(1, lambda v: (Variety("F", k=v.k), _restrictors(
+        f"h1-depth@{v.k}", v.k, "first", depth=v.k))),
+    "I": Family(1, lambda v: (Variety("F", k=v.k), _restrictors(
+        f"h1@{v.k}", v.k, "first"))),
+    "J": Family(1, lambda v: (Variety("I", k=v.k), _restrictors(
+        f"h2-depth@{v.k}:{v.m}", v.k, "second", depth=v.m))),
     "K": Family(None, lambda v: (_C2, None)),
     "LRB": Family(None, lambda v: (None, _order("first", lambda p: p.ini))),
     "RRB": Family(None, lambda v: (None, _order("last", _last_order))),
@@ -332,11 +320,11 @@ def decide(v: Variety, ident: Identity, max_letters: int = 4) -> Verdict:
         return _oracle_verdict(rule, ident, max_letters)
     pu, pw = profile(ident.lhs), profile(ident.rhs)
     passed = []
-    for claim in _k_claims(rule, pu, pw) if v.family == "K" else rule:
-        bad = claim.fail(pu, pw)
-        if bad:
-            return _fails(bad)
-        passed.append(Reason(claim.code, claim.agrees))
+    for code, key, differs, agrees in (_k_claims(rule, pu, pw)
+                                       if v.family == "K" else rule):
+        if key(pu) != key(pw):
+            return _fails(differs(pu, pw))
+        passed.append(Reason(code, agrees))
     return _holds(*passed)
 
 
@@ -411,59 +399,33 @@ def separating_witness(smaller: Variety, larger: Variety) -> Identity:
 
 
 @lru_cache(maxsize=256)
-def _plan(kmax: int) -> tuple[tuple[int, Callable], ...]:
+def _plan(kmax: int) -> tuple[tuple[int, Callable[[Profile], object]], ...]:
     """Each member of chain_of(kmax) as the slot of the variety it extends
-    in chain_bits' bit list (0, always true, at a root) and its own check."""
+    in _keys' list (0, the empty key, at a root) and its own claim's key."""
     chain = chain_of(kmax)
     slot = {v: i for i, v in enumerate(chain, 1)}
-    return tuple((slot.get(parent, 0), claim.fail)
+    return tuple((slot.get(parent, 0), claim.key)
                  for parent, claim in (_TABLE[v.family].rule(v) for v in chain))
+
+
+def _keys(p: Profile, kmax: int) -> list[tuple]:
+    """Each member's key on one word: its parent's key and its own claim's.
+    A member accepts u = v exactly when both words' keys are equal."""
+    keys: list[tuple] = [()]
+    for parent, key in _plan(kmax):
+        keys.append((keys[parent], key(p)))
+    return keys[1:]
 
 
 def chain_bits(u: Word, v: Word, kmax: int) -> tuple[bool, ...]:
     """Acceptance of u = v by every decider in chain_of(kmax), in order.
 
-    Reads the claim table as decide does: a member accepts when the
-    variety it extends accepts and its own claim agrees.
+    Compares the two words' member keys, so a member accepts when the
+    variety it extends accepts and its own claim's keys are equal, as in
+    decide.
     """
-    return _bits(profile(u), profile(v), kmax)
-
-
-def _bits(pu: Profile, pv: Profile, kmax: int) -> tuple[bool, ...]:
-    bits = [True]
-    for parent, fail in _plan(kmax):
-        bits.append(bits[parent] and fail(pu, pv) is None)
-    return tuple(bits[1:])
-
-
-@dataclass(frozen=True)
-class InclusionReport:
-    smaller: Variety
-    larger: Variety
-    checked: int
-    accepted: int
-    counterexample: Optional[Identity]
-
-    @property
-    def ok(self) -> bool:
-        return self.counterexample is None
-
-
-def verify_inclusion(smaller: Variety, larger: Variety,
-                     identities: Iterable[Identity],
-                     limit: Optional[int] = None,
-                     max_letters: int = 4) -> InclusionReport:
-    """Check that every sampled identity accepted by the larger variety is
-    accepted by the smaller one, stopping at the first counterexample."""
-    checked = accepted = 0
-    for ident in islice(identities, limit):
-        checked += 1
-        if decide(larger, ident, max_letters).holds:
-            accepted += 1
-            if not decide(smaller, ident, max_letters).holds:
-                return InclusionReport(smaller, larger, checked, accepted,
-                                       ident)
-    return InclusionReport(smaller, larger, checked, accepted, None)
+    return tuple(a == b for a, b in zip(_keys(profile(u), kmax),
+                                        _keys(profile(v), kmax)))
 
 
 @dataclass(frozen=True)
@@ -482,65 +444,86 @@ class ChainReport:
         return not self.violations and not self.witness_failures
 
 
+# The most work verify_chain takes on, in units of about a microsecond of
+# CPython each: one per ordered pair of words, one per member key of a
+# word, and 30 per letter of each separating witness decided.  All words
+# over {x, y, z} up to length 6 at kmax 3 need 1.2e6 units.
+MAX_CHAIN_WORK = 2 * 10**7
+
+
 def verify_chain(kmax: int = 3, letters: int = 3, max_len: int = 6,
                  cross_check: int = 2000) -> ChainReport:
     """Exhaustively confirm chain monotonicity on all identities over the
     given alphabet and length budget, and re-test every canonical
     separating witness.
 
-    Acceptance by anything above SL starts with the letter-class check, so
-    a pair of words disagreeing there yields the always-monotone pattern
-    (T, maybe SL, nothing else).  Full bit vectors are therefore computed
-    only for pairs that agree on letter classes, plus an evenly spaced
-    sample of cross_check disagreeing pairs as a safety net.
+    Every word's member keys are read once.  Acceptance by anything above
+    SL starts with the letter-class check, so a pair of words disagreeing
+    there yields the always-monotone pattern (T, maybe SL, nothing else).
+    Keys are therefore compared only for pairs that agree on letter
+    classes, plus an evenly spaced sample of cross_check disagreeing pairs
+    as a safety net.
+
+    Raises ValueError for a size whose work, worked out before any member
+    or word is built, exceeds MAX_CHAIN_WORK.
     """
-    chain = chain_of(kmax)
+    if kmax < 1:
+        raise ValueError("kmax must be >= 1")
     if not 1 <= letters <= 3:
         raise ValueError(f"letters must be 1, 2 or 3 (x, y, z), not {letters}")
     if max_len < 0 or cross_check < 0:
         raise ValueError("max_len and cross_check must be >= 0, not "
                          f"{max_len} and {cross_check}")
+    count = sum(letters ** n for n in range(max_len + 1))
+    members = 6 + 3 * kmax + kmax * (kmax + 1) // 2   # len(chain_of(kmax))
+    work = count * count + count * members + 30 * members * kmax
+    if work > MAX_CHAIN_WORK:
+        raise ValueError(f"a chain sweep at kmax={kmax} over {count} words "
+                         f"needs about {work:.1e} units of work; the bound "
+                         f"is {MAX_CHAIN_WORK:.0e}")
+    chain = chain_of(kmax)
     alphabet = tuple(Letter(base) for base in ("x", "y", "z")[:letters])
     words = list(iter_words(alphabet, max_len))
 
     # The sweep owns its profiles, so it neither fills nor thrashes the
     # shared profile cache.
     profs = [Profile(w) for w in words]
-    keys = [(p.sim, p.mul) for p in profs]
-    groups: dict[tuple[frozenset, frozenset], list[Profile]] = {}
-    for p, key in zip(profs, keys):
-        groups.setdefault(key, []).append(p)
+    keys = [_keys(p, kmax) for p in profs]
+    classes = [(p.sim, p.mul) for p in profs]
+    groups: dict[tuple[frozenset, frozenset], list[int]] = {}
+    for i, key in enumerate(classes):
+        groups.setdefault(key, []).append(i)
 
     violations: list[tuple[Identity, Variety, Variety]] = []
 
-    def run(pu: Profile, pv: Profile) -> None:
-        bits = _bits(pu, pv, kmax)
-        for i in range(len(bits) - 1):
-            if bits[i + 1] and not bits[i]:
-                violations.append((Identity(pu.word, pv.word), chain[i],
-                                   chain[i + 1]))
+    def run(i: int, j: int) -> None:
+        bits = [a == b for a, b in zip(keys[i], keys[j])]
+        for n in range(len(bits) - 1):
+            if bits[n + 1] and not bits[n]:
+                violations.append((Identity(words[i], words[j]), chain[n],
+                                   chain[n + 1]))
                 return
 
     compared = 0
     for group in groups.values():
-        for u in group:
-            for v in group:
-                if u is not v:
+        for i in group:
+            for j in group:
+                if i != j:
                     compared += 1
-                    run(u, v)
+                    run(i, j)
 
     total = len(words) * (len(words) - 1)
     cross = total - compared
     if cross and cross_check:
         stride = max(1, cross // cross_check)
         seen = 0
-        for u, ku in zip(profs, keys):
-            for v, kv in zip(profs, keys):
-                if u is v or ku == kv:
+        for i, ki in enumerate(classes):
+            for j, kj in enumerate(classes):
+                if i == j or ki == kj:
                     continue
                 if seen % stride == 0:
                     compared += 1
-                    run(u, v)
+                    run(i, j)
                 seen += 1
 
     witness_failures = []

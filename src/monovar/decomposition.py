@@ -131,12 +131,6 @@ class Profile:
             raise ValueError(f"{letter} does not occur in {self.word}")
         return self.depths[letter]
 
-    def is_divider(self, letter: Letter, k: int) -> bool:
-        if letter not in self.con:
-            return False
-        first = self.positions[letter][0]
-        return first in self.dividers(k)
-
     def depth_profile(self) -> dict[Letter, float]:
         return dict(self.depths)
 

@@ -92,9 +92,6 @@ class Deduction:
     def end(self) -> Word:
         return self.words[-1]
 
-    def as_identity(self) -> Identity:
-        return Identity(self.start, self.end)
-
     def __len__(self) -> int:
         return len(self.steps)
 
@@ -113,10 +110,6 @@ class DeductionReport:
     @property
     def ok(self) -> bool:
         return all(d.ok for d in self.diagnostics)
-
-    @property
-    def failures(self) -> tuple[StepDiagnostic, ...]:
-        return tuple(d for d in self.diagnostics if not d.ok)
 
     def __bool__(self) -> bool:
         return self.ok

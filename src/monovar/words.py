@@ -109,13 +109,6 @@ class Word:
     def max_occ(self) -> int:
         return max((self.occ(l) for l in self.content()), default=0)
 
-    def ini(self) -> tuple[Letter, ...]:
-        """Letters in order of first occurrence."""
-        seen: dict[Letter, None] = {}
-        for l in self.letters:
-            seen.setdefault(l)
-        return tuple(seen)
-
     # derived words
 
     def delete(self, letters: Iterable[Letter]) -> "Word":

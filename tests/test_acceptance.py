@@ -259,7 +259,7 @@ def test_criterion_10_divider_depth_duality():
             if not set(prof.dividers(k)) <= set(prof.dividers(k + 1)):
                 monotone_bad += 1
             for x in w.content():
-                if prof.is_divider(x, k) != (prof.depth(x) <= k):
+                if (prof.positions[x][0] in prof.dividers(k)) != (prof.depth(x) <= k):
                     duality_bad += 1
     verdict(10, "divider/depth duality and divider monotonicity",
             duality_bad == 0 and monotone_bad == 0,
@@ -273,7 +273,7 @@ def test_criterion_11_deduction_replay():
     # accept the endpoint and F3, one band up, must reject it.
     chain = jkk_deduction(2)
     replay = check_deduction(chain)
-    endpoint = chain.as_identity()
+    endpoint = Identity(chain.start, chain.end)
     j22 = decide(V("J2.2"), endpoint)
     f3 = decide(V("F3"), endpoint)
     verdict(11, "band-endpoint chain replays, J2.2 accepts it and F3 rejects it",

@@ -20,8 +20,6 @@ from monovar.catalog import (
     jkk_basis,
     w_family,
     w_family_split,
-    w_family_squared,
-    w_mixed,
 )
 from monovar.decomposition import decompose, profile
 from monovar.words import EMPTY, L, Letter, Word, parse_word, substitute
@@ -80,9 +78,9 @@ def test_identity_systems():
 
 def test_w_family_base_case():
     assert w_family(1) == parse_word("z1t1xz1z2xt2z2")
-    assert w_family_squared(1) == parse_word("z1t1x^2z1z2t2z2")
     assert w_family_split(1, 0, 1) == w_family(1)
-    assert w_family_split(1, 0, 0) == w_family_squared(1)
+    # no interior block: x^2 sits before the shuffle
+    assert w_family_split(1, 0, 0) == parse_word("z1t1x^2z1z2t2z2")
 
 
 def test_w_family_permutations():
@@ -95,14 +93,6 @@ def test_w_family_permutations():
 def test_w_family_split_interior():
     assert w_family_split(2, 1, 2) == parse_word("z1t1z2t2z1z3xz2z4xt3z3t4z4")
     assert w_family_split(2, 1, 1) == parse_word("z1t1z2t2z1z3x^2z2z4t3z3t4z4")
-
-
-def test_w_mixed():
-    assert w_mixed(1, 1, [2, 1]) == parse_word("z1t1xz2z1xt2z2")
-    assert w_mixed(1, 1, [2, 1], squared=True) == parse_word("z1t1x^2z2z1t2z2")
-    assert w_mixed(2, 0, [1, 2]) == parse_word("z1t1z2t2xz1z2x")
-    with pytest.raises(ValueError):
-        w_mixed(0, 0, [])
 
 
 def test_oracle_words():

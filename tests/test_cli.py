@@ -132,6 +132,18 @@ def test_verify_chain_rejects_an_alphabet_or_budget_it_cannot_sweep(
     assert f"error: {message}" in err
 
 
+@pytest.mark.parametrize("flag, value", [("--kmax", "100000"),
+                                         ("--maxlen", "30")])
+def test_verify_chain_refuses_a_sweep_past_its_work_bound(capsys, flag, value):
+    # both sizes are refused by arithmetic, before any member or word is
+    # built, so the refusal is quick
+    started = time.perf_counter()
+    code, out, err = run(capsys, "verify-chain", flag, value)
+    assert time.perf_counter() - started < 1.0
+    assert code == 2 and out == ""
+    assert "units of work; the bound is" in err
+
+
 def test_environment_does_not_reach_the_parser(monkeypatch, capsys):
     monkeypatch.setenv("MONOVAR_WORKERS", "abc")
     code, out, _ = run(capsys, "decompose", "xyx")

@@ -1,4 +1,5 @@
 import random
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
@@ -23,7 +24,6 @@ from monovar.deciders import (
     separating_witness,
     structural_c,
     verify_chain,
-    verify_inclusion,
 )
 from monovar.decomposition import profile
 from monovar.words import Identity, Letter, Word, iter_words, parse_identity
@@ -323,7 +323,57 @@ def test_separating_witness_requires_adjacency():
         separating_witness(V("T"), V("E"))
 
 
+def class_groups(bases: str, max_len: int) -> list[list[Word]]:
+    """All words over the letters up to the length, grouped by letter
+    classes (the letters occurring once and the repeated ones)."""
+    groups: dict = {}
+    for w in iter_words(tuple(Letter(b) for b in bases), max_len):
+        groups.setdefault((w.simple(), w.multiple()), []).append(w)
+    return list(groups.values())
+
+
+@lru_cache(maxsize=None)
+def letter_table(w: Word, kmax: int) -> dict:
+    """Each letter of w to its depth and its restrictor at every occurrence
+    i <= 2 and level k <= kmax + 1, read one at a time from Profile."""
+    p = profile(w)
+    return {x: (p.depth(x), {(i, k): p.restrictor(x, i, k)
+                             for i in range(1, min(len(pos), 2) + 1)
+                             for k in range(kmax + 2)})
+            for x, pos in p.positions.items()}
+
+
+def reference_bits(u: Word, w: Word, kmax: int) -> dict[str, bool]:
+    """Acceptance of u = w by every member of chain_of(kmax), by name,
+    read letter by letter as the guarded definitions state it: h1-depth@k
+    takes letters whose smaller depth on the two sides is at most k,
+    h2-depth@k:m letters of left depth at most m."""
+    tu, tw = letter_table(u, kmax), letter_table(w, kmax)
+    letters, repeated = sorted(u.content()), sorted(u.multiple())
+
+    def same(occurrences, k, keep=lambda x: True):
+        return all(tu[x][1][i, k] == tw[x][1][i, k]
+                   for i, xs in occurrences for x in xs if keep(x))
+
+    classes = (u.simple(), u.multiple()) == (w.simple(), w.multiple())
+    bits = {"T": True, "SL": u.content() == w.content(), "C2": classes,
+            "D1": classes and u.delete(repeated) == w.delete(repeated),
+            "E": classes and same([(1, letters)], 0)}
+    for k in range(1, kmax + 2):
+        f = bits[f"F{k}"] = classes and same([(1, letters), (2, repeated)], k - 1)
+        bits[f"H{k}"] = f and same([(1, letters)], k,
+                                   lambda x: min(tu[x][0], tw[x][0]) <= k)
+        i = bits[f"I{k}"] = f and same([(1, letters)], k)
+        for m in range(1, k + 1):
+            bits[f"J{k}.{m}"] = i and same([(2, repeated)], k,
+                                           lambda x: tu[x][0] <= m)
+    return bits
+
+
 def test_chain_bits_agree_with_decide():
+    """chain_bits against decide, and against reference_bits, which reads
+    Profile.restrictor and Profile.depth letter by letter and shares no
+    code with the claim keys."""
     rng = random.Random(20260815)
     letters = [Letter("x"), Letter("y"), Letter("z")]
     probes = []
@@ -340,8 +390,42 @@ def test_chain_bits_agree_with_decide():
         chain = chain_of(kmax)
         bits = chain_bits(u, w, kmax)
         assert len(bits) == len(chain)
+        ref = reference_bits(u, w, kmax)
         for bit, v in zip(bits, chain):
             assert bit == decide(v, Identity(u, w)).holds, (str(u), str(w), v.name)
+            assert bit == ref[v.name], (str(u), str(w), v.name)
+    # The reference alone on every same-class pair over {x, y, z}: a depth
+    # bound of m + 1 in J's key shows on a dozen of these pairs only.
+    names = [v.name for v in chain_of(3)]
+    for group in class_groups("xyz", 5):
+        for u in group:
+            for w in group:
+                ref = reference_bits(u, w, 3)
+                assert chain_bits(u, w, 3) == tuple(map(ref.get, names)), \
+                    (str(u), str(w))
+
+
+def test_chain_classes_fix_the_shallow_letters():
+    """On F_k's class both sides have the same letters of depth at most
+    k, and on I_k's class the same ones of depth at most m for every
+    m <= k.  The depth claims' keys rest on this, and it makes J's
+    left-side depth guard symmetric on I_k's class."""
+    names = [v.name for v in chain_of(3)]
+    checked = 0
+    for group in class_groups("xyz", 5):
+        for u in group:
+            for w in group:
+                du, dw = profile(u).depths, profile(w).depths
+                accepted = dict(zip(names, chain_bits(u, w, 3)))
+                for k in range(1, 4):
+                    if not accepted[f"F{k}"]:
+                        continue
+                    checked += 1
+                    for m in range(1, k + 1) if accepted[f"I{k}"] else (k,):
+                        assert ({x for x in du if du[x] <= m}
+                                == {x for x in dw if dw[x] <= m}), \
+                            (str(u), str(w), k, m)
+    assert checked > 1000
 
 
 # What every claim-decided variety checks, read from the claim codes of a
@@ -432,15 +516,17 @@ def test_chain_acceptance_survives_multiplication():
                         (str(u), str(w), str(a))
 
 
-def test_verify_inclusion_direction():
+def test_inclusion_direction():
+    """F1 is contained in H1: every identity of H1 holds in F1, and
+    alpha(1) holds in F1 but not in H1."""
     pool = [Identity(u, w)
             for u in iter_words((Letter("x"), Letter("y")), 4)
             for w in iter_words((Letter("x"), Letter("y")), 4)]
-    report = verify_inclusion(V("F1"), V("H1"), pool)
-    assert report.ok and report.accepted > 0
-    reversed_report = verify_inclusion(V("H1"), V("F1"), [alpha(1)])
-    assert not reversed_report.ok
-    assert reversed_report.counterexample == alpha(1)
+    accepted = [probe for probe in pool if decide(V("H1"), probe).holds]
+    assert any(probe.lhs != probe.rhs for probe in accepted)
+    assert all(decide(V("F1"), probe).holds for probe in accepted)
+    assert decide(V("F1"), alpha(1)).holds
+    assert not decide(V("H1"), alpha(1)).holds
 
 
 def test_verify_chain_small_run_is_clean():

@@ -160,7 +160,8 @@ def test_levels_and_depths_match_the_definition():
         assert prof.levels == levels, w
         assert prof.stab == len(levels) - 1, w
         assert list(prof.depths.items()) == [
-            (l, depth_by_definition(w, levels, l)) for l in w.ini()], w
+            (l, depth_by_definition(w, levels, l))
+            for l in dict.fromkeys(w.letters)], w
 
 
 @given(words_st)
@@ -187,7 +188,8 @@ def test_depth_divider_duality(w):
     for letter in prof.con:
         d = prof.depth(letter)
         for k in range(prof.stab + 2):
-            assert prof.is_divider(letter, k) == (d <= k)
+            first = prof.positions[letter][0]
+            assert (first in prof.dividers(k)) == (d <= k)
 
 
 @given(words_st)

@@ -100,9 +100,9 @@ def test_deduction_requires_matching_lengths():
 def test_band_endpoint_chain_replays(k):
     d = jkk_deduction(k)
     assert len(d) == 8
-    assert d.as_identity() == delta(k, k)
+    assert Identity(d.start, d.end) == delta(k, k)
     report = check_deduction(d)
-    assert report.ok and not report.failures
+    assert report.ok and all(step.ok for step in report.diagnostics)
 
 
 def test_band_endpoint_chain_needs_k_at_least_two():
@@ -124,7 +124,7 @@ def test_corrupted_intermediate_word_is_reported():
     broken = Deduction(d.words[:4] + (pw("x"),) + d.words[5:], d.steps)
     report = check_deduction(broken)
     assert not report.ok
-    assert {f.index for f in report.failures} == {3, 4}
+    assert {step.index for step in report.diagnostics if not step.ok} == {3, 4}
 
 
 # ---------------------------------------------------------------- format
@@ -188,7 +188,7 @@ def test_bounded_derive_finds_the_collapse_identity():
     assert check_deduction(d).ok
     # soundness: the base system holds in the claim-decided ceiling variety,
     # so anything it derives must be accepted there
-    assert decide(parse_variety("K"), d.as_identity()).holds
+    assert decide(parse_variety("K"), Identity(d.start, d.end)).holds
 
 
 def test_bounded_derive_is_deterministic():

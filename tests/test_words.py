@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from monovar.decomposition import profile
 from monovar.words import (
     EMPTY,
     MAX_WORD_LENGTH,
@@ -106,7 +107,8 @@ def test_delete_retain_partition():
 
 
 def test_ini_first_occurrence_order():
-    assert parse_word("xyxzytszxs").ini() == (L("x"), L("y"), L("z"), L("t"), L("s"))
+    prof = profile(parse_word("xyxzytszxs"))
+    assert prof.ini == (L("x"), L("y"), L("z"), L("t"), L("s"))
 
 
 def test_reverse():
