@@ -7,17 +7,18 @@ letters, the word left after deleting repeated letters, the order of
 first or last occurrences, or the divider restrictor maps at a fixed
 decomposition level, possibly kept to the letters of small depth.  A
 variety adds one claim to the variety it extends, so every member of the
-chain has a per-word key, and chain_bits and verify_chain compare keys.
-A few varieties are decided by brute-force evaluation in a finite
-generator monoid instead.  Dual varieties reverse both sides and reuse
-the base decider.
+chain has a per-word key, the tuple of its claims' keys, which
+verify_chain compares.  One predecessor rule, _below, lays out the chain
+and its separating identities.  A few varieties are decided by
+brute-force evaluation in a finite generator monoid instead.  Dual
+varieties reverse both sides and reuse the base decider.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, Iterator, NamedTuple, Optional
 
 from .catalog import (
@@ -59,14 +60,6 @@ class Verdict:
     def __str__(self) -> str:
         tag = "holds" if self.holds else "fails"
         return f"{tag} [{'; '.join(str(r) for r in self.reasons)}]"
-
-
-def _holds(*reasons: Reason) -> Verdict:
-    return Verdict(True, reasons)
-
-
-def _fails(reason: Reason) -> Verdict:
-    return Verdict(False, (reason,))
 
 
 class Claim(NamedTuple):
@@ -299,10 +292,9 @@ def _k_claims(base: tuple[Claim, ...], pu: Profile,
 def _oracle_verdict(gen: Word, ident: Identity, max_letters: int) -> Verdict:
     monoid = rees_quotient(gen)
     hit = monoid.find_violation(ident, max_letters=max_letters)
-    if hit is None:
-        return _holds(Reason("oracle", f"holds in {monoid.name} under every "
-                             "substitution"))
-    return _fails(Reason("oracle", monoid.describe_violation(ident, hit)))
+    text = (f"holds in {monoid.name} under every substitution" if hit is None
+            else monoid.describe_violation(ident, hit))
+    return Verdict(hit is None, (Reason("oracle", text),))
 
 
 def decide(v: Variety, ident: Identity, max_letters: int = 4) -> Verdict:
@@ -323,9 +315,9 @@ def decide(v: Variety, ident: Identity, max_letters: int = 4) -> Verdict:
     for code, key, differs, agrees in (_k_claims(rule, pu, pw)
                                        if v.family == "K" else rule):
         if key(pu) != key(pw):
-            return _fails(differs(pu, pw))
+            return Verdict(False, (differs(pu, pw),))
         passed.append(Reason(code, agrees))
-    return _holds(*passed)
+    return Verdict(True, tuple(passed))
 
 
 def structural_c(n: int, ident: Identity) -> bool:
@@ -353,79 +345,76 @@ def semi_decide_d(ident: Identity, k: int = 5, max_letters: int = 4) -> str:
     return "unknown"
 
 
+# The chain up to F1, each member with the sides of the identity that
+# separates it from the member before it.
+_START = ((Variety("T"), ()), (Variety("SL"), ("x", "y")), (_C2, ("x", "x^2")),
+          (Variety("D", k=1), ("xy", "yx")), (Variety("E"), ("xyx", "yx^2")),
+          (Variety("F", k=1), ("x^2y", "xyx")))
+
+
+def _below(v: Variety) -> Optional[tuple[Variety, Callable[[], Identity]]]:
+    """The member before v in the chain, and a thunk building the identity
+    that member accepts and v rejects: α(k), β(k), γ(k) or δ(k, m) past
+    F1.  None for T, for every dual and for every variety off the chain."""
+    f, k, m = v.family, v.k, v.m
+    if v.dual:
+        return None
+    if f == "F" and k > 1:
+        return Variety("J", k=k - 1, m=k - 1), partial(delta, k - 1, k - 1)
+    if f == "H":
+        return Variety("F", k=k), partial(alpha, k)
+    if f == "I":
+        return Variety("H", k=k), partial(beta, k)
+    if f == "J":
+        return ((Variety("I", k=k), partial(gamma, k)) if m == 1 else
+                (Variety("J", k=k, m=m - 1), partial(delta, k, m - 1)))
+    for (lower, _), (member, sides) in zip(_START, _START[1:]):
+        if v == member:
+            return lower, partial(identity, *sides)
+    return None
+
+
 def chain_of(kmax: int) -> list[Variety]:
-    """The strictly increasing chain of claim-decided varieties, ending at
-    the first member of the next band."""
+    """The strictly increasing chain of claim-decided varieties, read down
+    by _below from F_{kmax+1}, the first member of the next band, to T."""
     if kmax < 1:
         raise ValueError("kmax must be >= 1")
-    chain = [Variety("T"), Variety("SL"), Variety("C", k=2),
-             Variety("D", k=1), Variety("E")]
-    for k in range(1, kmax + 1):
-        chain.append(Variety("F", k=k))
-        chain.append(Variety("H", k=k))
-        chain.append(Variety("I", k=k))
-        for m in range(1, k + 1):
-            chain.append(Variety("J", k=k, m=m))
-    chain.append(Variety("F", k=kmax + 1))
-    return chain
+    chain = [Variety("F", k=kmax + 1)]
+    while step := _below(chain[-1]):
+        chain.append(step[0])
+    return chain[::-1]
 
 
 def separating_witness(smaller: Variety, larger: Variety) -> Identity:
-    """An identity accepted by the smaller variety's decider and rejected
-    by the larger one's, for an adjacent chain pair."""
-    pair = (smaller.name, larger.name)
-    early = {
-        ("T", "SL"): identity("x", "y"),
-        ("SL", "C2"): identity("x", "x^2"),
-        ("C2", "D1"): identity("xy", "yx"),
-        ("D1", "E"): identity("xyx", "yx^2"),
-        ("E", "F1"): identity("x^2y", "xyx"),
-    }
-    if pair in early:
-        return early[pair]
-    a, b = smaller, larger
-    if a.family == "F" and b.family == "H" and a.k == b.k:
-        return alpha(a.k)
-    if a.family == "H" and b.family == "I" and a.k == b.k:
-        return beta(a.k)
-    if a.family == "I" and b.family == "J" and (b.k, b.m) == (a.k, 1):
-        return gamma(a.k)
-    if a.family == "J" and b.family == "J" and a.k == b.k and b.m == a.m + 1:
-        return delta(a.k, a.m)
-    if a.family == "J" and a.m == a.k and b.family == "F" and b.k == a.k + 1:
-        return delta(a.k, a.k)
-    raise ValueError(f"{smaller.name} and {larger.name} are not adjacent "
-                     "in the chain")
+    """The identity that smaller accepts and larger rejects, when smaller
+    is the member just below larger in the chain.  Raises ValueError for
+    every other pair, and so for every pair with a dual."""
+    step = _below(larger)
+    if step is None or step[0] != smaller:
+        raise ValueError(f"{smaller.name} and {larger.name} are not adjacent "
+                         "in the chain")
+    return step[1]()
 
 
 @lru_cache(maxsize=256)
-def _plan(kmax: int) -> tuple[tuple[int, Callable[[Profile], object]], ...]:
-    """Each member of chain_of(kmax) as the slot of the variety it extends
-    in _keys' list (0, the empty key, at a root) and its own claim's key."""
-    chain = chain_of(kmax)
-    slot = {v: i for i, v in enumerate(chain, 1)}
-    return tuple((slot.get(parent, 0), claim.key)
-                 for parent, claim in (_TABLE[v.family].rule(v) for v in chain))
+def _plan(kmax: int) -> tuple[tuple[Claim, ...], ...]:
+    """The claims of each member of chain_of(kmax), as decide reads them."""
+    return tuple(_rule(v) for v in chain_of(kmax))
 
 
 def _keys(p: Profile, kmax: int) -> list[tuple]:
-    """Each member's key on one word: its parent's key and its own claim's.
-    A member accepts u = v exactly when both words' keys are equal."""
-    keys: list[tuple] = [()]
-    for parent, key in _plan(kmax):
-        keys.append((keys[parent], key(p)))
-    return keys[1:]
+    """Each member's key on one word: the tuple of its claims' keys.  A
+    member accepts u = v exactly when both words' keys are equal, that is,
+    when all its claims agree, as in decide."""
+    return [tuple(claim.key(p) for claim in claims) for claims in _plan(kmax)]
 
 
 def chain_bits(u: Word, v: Word, kmax: int) -> tuple[bool, ...]:
-    """Acceptance of u = v by every decider in chain_of(kmax), in order.
-
-    Compares the two words' member keys, so a member accepts when the
-    variety it extends accepts and its own claim's keys are equal, as in
-    decide.
-    """
-    return tuple(a == b for a, b in zip(_keys(profile(u), kmax),
-                                        _keys(profile(v), kmax)))
+    """Acceptance of u = v by every member of chain_of(kmax), in order: a
+    member accepts when all its claims agree, as in decide."""
+    pu, pv = profile(u), profile(v)
+    return tuple(all(claim.key(pu) == claim.key(pv) for claim in claims)
+                 for claims in _plan(kmax))
 
 
 @dataclass(frozen=True)
@@ -457,12 +446,12 @@ def verify_chain(kmax: int = 3, letters: int = 3, max_len: int = 6,
     given alphabet and length budget, and re-test every canonical
     separating witness.
 
-    Every word's member keys are read once.  Acceptance by anything above
-    SL starts with the letter-class check, so a pair of words disagreeing
-    there yields the always-monotone pattern (T, maybe SL, nothing else).
-    Keys are therefore compared only for pairs that agree on letter
-    classes, plus an evenly spaced sample of cross_check disagreeing pairs
-    as a safety net.
+    Every word's member keys are read once.  Every member from C2 on has
+    the letter-class claim, so a pair of words disagreeing there is
+    accepted by T, maybe SL, and nothing else, an always-monotone pattern
+    (test_cross_class_pairs_stop_at_c2 pins this).  Keys are therefore
+    compared only for pairs that agree on letter classes, plus an evenly
+    spaced sample of cross_check disagreeing pairs as a safety net.
 
     Raises ValueError for a size whose work, worked out before any member
     or word is built, exceeds MAX_CHAIN_WORK.
@@ -482,6 +471,7 @@ def verify_chain(kmax: int = 3, letters: int = 3, max_len: int = 6,
                          f"needs about {work:.1e} units of work; the bound "
                          f"is {MAX_CHAIN_WORK:.0e}")
     chain = chain_of(kmax)
+    assert members == len(chain)
     alphabet = tuple(Letter(base) for base in ("x", "y", "z")[:letters])
     words = list(iter_words(alphabet, max_len))
 

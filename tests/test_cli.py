@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import monovar
+from monovar import deciders
 from monovar.catalog import delta
 from monovar.cli import main
 from monovar.decomposition import profile, render_depths
@@ -18,6 +19,7 @@ from monovar.deduction import (
     jkk_deduction,
     parse_deduction,
 )
+from monovar.words import identity
 
 WORD = "xyxzytszxs"
 
@@ -114,6 +116,56 @@ def test_verify_chain_output_is_reproducible(capsys):
     _, first, _ = run(capsys, *args)
     _, second, _ = run(capsys, *args)
     assert first == second
+
+
+SMALL_SWEEP = ("verify-chain", "--kmax", "1", "--letters", "2",
+               "--maxlen", "4", "--cross-check", "50")
+
+
+def test_verify_chain_reports_a_broken_chain(monkeypatch, capsys):
+    """With H1's key replaced by the word itself, H1 rejects every pair of
+    distinct words that I1 accepts: each one is a violation, reported in
+    pair order, and the sweep fails."""
+    keys = deciders._keys
+    h1 = [v.name for v in deciders.chain_of(1)].index("H1")
+
+    def broken(p, kmax):
+        out = keys(p, kmax)
+        out[h1] = p.word
+        return out
+
+    monkeypatch.setattr(deciders, "_keys", broken)
+    code, out, _ = run(capsys, *SMALL_SWEEP)
+    lines = out.splitlines()
+    assert code == 1
+    assert lines[:11] == [
+        "# monovar 1", "verify-chain kmax=1 letters=2 maxlen=4", "words: 31",
+        "pairs: 930", "compared: 179", "violations: 62",
+        "witness-failures: 0",
+        "violation: xx = xxx accepted by I1 but rejected by H1",
+        "violation: xx = xxxx accepted by I1 but rejected by H1",
+        "violation: xxx = xx accepted by I1 but rejected by H1",
+        "violation: xxx = xxxx accepted by I1 but rejected by H1"]
+    assert lines[19:21] == [
+        "violation: xxy = xxxy accepted by I1 but rejected by H1",
+        "violation: xxy = xxyx accepted by I1 but rejected by H1"]
+    assert len(lines) == 7 + 62 + 1 and lines[-1] == "result: fail"
+    assert all(line.endswith(" accepted by I1 but rejected by H1")
+               for line in lines[7:-1])
+
+
+def test_verify_chain_reports_a_failed_witness(monkeypatch, capsys):
+    """A trivial identity in place of the witness separating H1 from I1
+    holds in both, and the sweep reports that pair."""
+    witness = deciders.separating_witness
+    monkeypatch.setattr(deciders, "separating_witness", lambda a, b: (
+        identity("x", "x") if (a.name, b.name) == ("H1", "I1")
+        else witness(a, b)))
+    code, out, _ = run(capsys, *SMALL_SWEEP)
+    assert code == 1
+    assert out.splitlines()[-4:] == [
+        "violations: 0", "witness-failures: 1", "witness-failure: H1 vs I1",
+        "result: fail"]
 
 
 @pytest.mark.parametrize("flag, value", [
@@ -299,9 +351,24 @@ def readme_tour() -> list[tuple[str, str]]:
     return tour
 
 
+def bench_tour() -> list[tuple[str, int, str]]:
+    """Each command of bench/tour.txt, which the benchmark replays, with
+    the exit code and the stdout recorded under it."""
+    path = Path(__file__).parents[1] / "bench" / "tour.txt"
+    tour = []
+    for chunk in re.split(r"\n(?=\$ monovar )", path.read_text("utf-8")):
+        command, code, *shown = chunk.strip("\n").split("\n")
+        tour.append((command, int(code.removeprefix("# exit ")),
+                     "\n".join(shown) + "\n"))
+    return tour
+
+
 def test_readme_tour_is_reproduced(capsys):
-    tour = readme_tour()
+    """The README tour, the same commands and stdout as bench/tour.txt,
+    reproduced byte for byte with the exit codes tour.txt records."""
+    tour = bench_tour()
     assert len(tour) == 12
-    for command, shown in tour:
-        _, out, _ = run(capsys, *shlex.split(command)[2:])
-        assert out == shown, command
+    assert [(command, shown) for command, _, shown in tour] == readme_tour()
+    for command, code, shown in tour:
+        assert run(capsys, *shlex.split(command)[2:])[:2] == (code, shown), \
+            command

@@ -1,4 +1,5 @@
 import random
+import re
 from functools import lru_cache
 
 import pytest
@@ -16,6 +17,7 @@ from monovar.catalog import (
 )
 from monovar.deciders import (
     Variety,
+    _keys,
     chain_bits,
     chain_of,
     decide,
@@ -323,6 +325,31 @@ def test_separating_witness_requires_adjacency():
         separating_witness(V("T"), V("E"))
 
 
+def test_chain_of_lists_the_bands():
+    """T, SL, C2, D1 and E, then the band F_k, H_k, I_k, J_k.1, ...,
+    J_k.k for each k <= kmax, and F_{kmax+1} last."""
+    for kmax in range(1, 9):
+        names = ["T", "SL", "C2", "D1", "E"]
+        for k in range(1, kmax + 1):
+            names += [f"F{k}", f"H{k}", f"I{k}"]
+            names += [f"J{k}.{m}" for m in range(1, k + 1)]
+        assert [v.name for v in chain_of(kmax)] == names + [f"F{kmax + 1}"]
+
+
+def test_duals_are_not_chain_pairs():
+    """alpha(1) separates F1 from H1, but F1~ and H1~ both accept it, so
+    no pair with a dual gets a witness."""
+    assert all(decide(V(name), alpha(1)).holds for name in ("F1~", "H1~"))
+    chain = chain_of(3)
+    pairs = [(a.dualized, b.dualized) for a, b in zip(chain, chain[1:])]
+    pairs += [(V("F1~"), V("H1")), (V("F1"), V("H1~"))]
+    assert (V("T~"), V("SL~")) in pairs
+    for smaller, larger in pairs:
+        message = f"{smaller} and {larger} are not adjacent in the chain"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            separating_witness(smaller, larger)
+
+
 def class_groups(bases: str, max_len: int) -> list[list[Word]]:
     """All words over the letters up to the length, grouped by letter
     classes (the letters occurring once and the repeated ones)."""
@@ -371,9 +398,10 @@ def reference_bits(u: Word, w: Word, kmax: int) -> dict[str, bool]:
 
 
 def test_chain_bits_agree_with_decide():
-    """chain_bits against decide, and against reference_bits, which reads
-    Profile.restrictor and Profile.depth letter by letter and shares no
-    code with the claim keys."""
+    """chain_bits against decide, against the member keys verify_chain
+    compares, and against reference_bits, which reads Profile.restrictor
+    and Profile.depth letter by letter and shares no code with the claim
+    keys."""
     rng = random.Random(20260815)
     letters = [Letter("x"), Letter("y"), Letter("z")]
     probes = []
@@ -390,6 +418,8 @@ def test_chain_bits_agree_with_decide():
         chain = chain_of(kmax)
         bits = chain_bits(u, w, kmax)
         assert len(bits) == len(chain)
+        keys = zip(_keys(profile(u), kmax), _keys(profile(w), kmax))
+        assert bits == tuple(a == b for a, b in keys), (str(u), str(w))
         ref = reference_bits(u, w, kmax)
         for bit, v in zip(bits, chain):
             assert bit == decide(v, Identity(u, w)).holds, (str(u), str(w), v.name)
@@ -426,6 +456,22 @@ def test_chain_classes_fix_the_shallow_letters():
                                 == {x for x in dw if dw[x] <= m}), \
                             (str(u), str(w), k, m)
     assert checked > 1000
+
+
+def test_cross_class_pairs_stop_at_c2():
+    """Every member from C2 on rejects a pair of words whose letter classes
+    differ, so such a pair can only show the monotone pattern T, maybe SL,
+    then nothing.  This is why verify_chain compares only a sample of
+    them."""
+    words = list(iter_words((Letter("x"), Letter("y")), 5))
+    assert [v.name for v in chain_of(3)][:3] == ["T", "SL", "C2"]
+    cross = 0
+    for u in words:
+        for w in words:
+            if (u.simple(), u.multiple()) != (w.simple(), w.multiple()):
+                cross += 1
+                assert not any(chain_bits(u, w, 3)[2:]), (str(u), str(w))
+    assert cross == 2966
 
 
 # What every claim-decided variety checks, read from the claim codes of a
@@ -475,7 +521,8 @@ def test_claim_codes_are_pinned():
 @pytest.mark.parametrize("letters, max_len, decided", [
     pytest.param("xy", 5, ("K",), id="xy-5"),
     pytest.param("xyz", 4, ("K",), id="xyz-4"),
-    pytest.param("xy", 4, ("LRB", "RRB", "C3"), id="xy-4"),
+    pytest.param("xy", 4, ("LRB", "RRB", "C3", "D2", "D3", "L", "M"),
+                 id="xy-4"),
 ])
 def test_deciders_are_equivalence_relations(letters, max_len, decided):
     """chain_of(2) through chain_bits, and the decided varieties through
@@ -514,6 +561,37 @@ def test_chain_acceptance_survives_multiplication():
                               chain_bits(u + a, w + a, 2)):
                     assert all(b <= m for b, m in zip(bits, moved)), \
                         (str(u), str(w), str(a))
+
+
+def test_acceptance_survives_substitution():
+    """An identity u = w over {x, y} up to length 4 that a variety accepts
+    stays accepted under every substitution sending x and y to 1, x, y,
+    xy, yx, xx or yxy, as in any fully invariant congruence: chain_of(2)
+    through chain_bits, the other varieties through decide.  Trivial
+    images are skipped and each image is decided once per variety."""
+    x, y = Letter("x"), Letter("y")
+    images = [Word([Letter(b) for b in text])
+              for text in ("", "x", "y", "xy", "yx", "xx", "yxy")]
+    xis = [{x: a, y: b} for a in images for b in images]
+    words = list(iter_words((x, y), 4))
+    pairs = [Identity(u, w) for u in words for w in words if u != w]
+
+    @lru_cache(maxsize=None)
+    def images_of(probe):
+        return {image for xi in xis
+                if (image := probe.substitute(xi)).lhs != image.rhs}
+
+    bits = lru_cache(maxsize=None)(lambda p: chain_bits(p.lhs, p.rhs, 2))
+    for probe in pairs:
+        if any(bits(probe)[1:]):
+            for image in images_of(probe):
+                assert all(b <= a for b, a in zip(bits(probe), bits(image))), \
+                    (str(probe), str(image))
+    for v in map(V, ("K", "LRB", "RRB", "C3", "D2")):
+        accepted = [probe for probe in pairs if decide(v, probe).holds]
+        assert accepted, v.name
+        for image in set().union(*map(images_of, accepted)):
+            assert decide(v, image).holds, (v.name, str(image))
 
 
 def test_inclusion_direction():
