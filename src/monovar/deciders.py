@@ -204,6 +204,7 @@ class Variety:
 _NAME = re.compile(r"([A-Z]+)(\d*)(?:\.(\d+))?")
 
 
+@lru_cache(maxsize=256)
 def parse_variety(text: str) -> Variety:
     t = text.strip().upper()
     dual = t.endswith("~")

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import itertools
 import re
+import string
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 
@@ -35,7 +37,10 @@ def L(text: str) -> Letter:
     return Letter(base, int(digits) if digits else None)
 
 
-_TERM = re.compile(r"([a-z])(\d*)(?:\^(\d+))?")
+_SPACE = re.compile(r"\s+")
+_PREFIX = re.compile(r"(?:[a-z]\d*(?:\^\d+)?)*")
+_TERMS = re.compile(r"([a-z]\d*)(?:\^(\d+))?")
+_SIDES = re.compile(r"=|≈")
 
 # Longest word parse_word builds: far above the 245 letters of the longest
 # catalog word, delta(120, 120), and low enough that x^999999999 fails at
@@ -133,33 +138,43 @@ def parse_word(text: str) -> Word:
     A term is a lowercase letter, optional digits (the letter index) and an
     optional positive exponent, e.g. "x", "y12", "x^3".  Whitespace is
     ignored.  A zero exponent is a syntax error, and so is a word longer
-    than MAX_WORD_LENGTH letters.
+    than MAX_WORD_LENGTH letters.  One match finds the well-formed prefix
+    and one findall splits it into terms.  Every term starts with one
+    letter character, so a text with more than MAX_WORD_LENGTH of them is
+    too long, and fails before any scan.
     """
-    squeezed = re.sub(r"\s+", "", text)
+    squeezed = _SPACE.sub("", text)
     if squeezed == "1":
         return EMPTY
     if not squeezed:
         raise ValueError("empty input is not a word; write 1 for the empty word")
+    if len(squeezed) > MAX_WORD_LENGTH and sum(
+            map(squeezed.count, string.ascii_lowercase)) > MAX_WORD_LENGTH:
+        raise _too_long(text)
+    end = _PREFIX.match(squeezed).end()
     letters: list[Letter] = []
-    pos = 0
-    while pos < len(squeezed):
-        m = _TERM.match(squeezed, pos)
-        if m is None:
-            raise ValueError(f"unexpected character {squeezed[pos]!r} in {text!r}")
-        base, digits, exp = m.groups()
-        letter = Letter(base, int(digits) if digits else None)
-        count = 1
-        if exp is not None:
-            count = int(exp)
-            if count == 0:
-                raise ValueError(f"zero exponent in {text!r}")
-            if len(letters) + count > MAX_WORD_LENGTH:
-                raise _too_long(text)
+    for name, exp in _TERMS.findall(squeezed, 0, end):
+        letter = _letter(name)
+        if not exp:
+            letters.append(letter)
+            continue
+        count = int(exp)
+        if count == 0:
+            raise ValueError(f"zero exponent in {text!r}")
+        if len(letters) + count > MAX_WORD_LENGTH:
+            raise _too_long(text)
         letters.extend([letter] * count)
-        pos = m.end()
+    if end < len(squeezed):
+        raise ValueError(f"unexpected character {squeezed[end]!r} in {text!r}")
     if len(letters) > MAX_WORD_LENGTH:
         raise _too_long(text)
     return Word(letters)
+
+
+@lru_cache(maxsize=1024)
+def _letter(name: str) -> Letter:
+    """The shared letter of a term's name, e.g. "x" or "y12"."""
+    return Letter(name[0], int(name[1:]) if len(name) > 1 else None)
 
 
 def _too_long(text: str) -> ValueError:
@@ -204,7 +219,7 @@ class Identity:
 
 
 def parse_identity(text: str) -> Identity:
-    parts = re.split(r"=|≈", text)
+    parts = _SIDES.split(text)
     if len(parts) != 2:
         raise ValueError(f"an identity needs exactly one '=': {text!r}")
     return Identity(parse_word(parts[0]), parse_word(parts[1]))

@@ -60,8 +60,11 @@ def test_parse_is_case_insensitive_and_handles_duals():
 @pytest.mark.parametrize("bad", ["C1", "C0", "D0", "F0", "J0.1", "J2.3", "J2.0", "X9", "",
                                  "D01", "E2", "F", "J2", "F2.1"])
 def test_parse_rejects_malformed_names(bad):
-    with pytest.raises(ValueError):
-        V(bad)
+    # parse_variety is cached; a bad name must raise on every call
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            V(bad)
+    assert V("J2.1") == V("J2.1")
 
 
 def test_variety_validation():

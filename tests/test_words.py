@@ -1,3 +1,7 @@
+import random
+import re
+import time
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -68,6 +72,99 @@ def test_parse_rejects_garbage():
     for bad in ["", "1x", "X", "x^", "x-y", "^2"]:
         with pytest.raises(ValueError):
             parse_word(bad)
+
+
+_TERM = re.compile(r"([a-z])(\d*)(?:\^(\d+))?")
+
+
+def reference_parse_word(text: str) -> Word:
+    """The slow reference for parse_word: one regex match per term."""
+    squeezed = re.sub(r"\s+", "", text)
+    if squeezed == "1":
+        return EMPTY
+    if not squeezed:
+        raise ValueError("empty input is not a word; write 1 for the empty word")
+    too_long = ValueError(f"word longer than {MAX_WORD_LENGTH} letters "
+                          f"in {text[:40]!r}")
+    letters: list[Letter] = []
+    pos = 0
+    while pos < len(squeezed):
+        m = _TERM.match(squeezed, pos)
+        if m is None:
+            raise ValueError(f"unexpected character {squeezed[pos]!r} in {text!r}")
+        base, digits, exp = m.groups()
+        letter = Letter(base, int(digits) if digits else None)
+        count = 1
+        if exp is not None:
+            count = int(exp)
+            if count == 0:
+                raise ValueError(f"zero exponent in {text!r}")
+            if len(letters) + count > MAX_WORD_LENGTH:
+                raise too_long
+        letters.extend([letter] * count)
+        pos = m.end()
+    if len(letters) > MAX_WORD_LENGTH:
+        raise too_long
+    return Word(letters)
+
+
+def reference_parse_identity(text: str) -> Identity:
+    parts = re.split(r"=|≈", text)
+    if len(parts) != 2:
+        raise ValueError(f"an identity needs exactly one '=': {text!r}")
+    return Identity(reference_parse_word(parts[0]), reference_parse_word(parts[1]))
+
+
+def outcome(parse, text):
+    try:
+        return parse(text)
+    except ValueError as e:
+        return str(e)
+
+
+PARSE_TOKENS = ["x", "y", "z", "t", "0", "1", "2", "^", "^0", "^12",
+                "^999999999", " ", "\t", "=", "X", "$"]
+
+
+def test_parse_matches_the_term_by_term_reference():
+    rng = random.Random(15)
+    texts = ["x^", "x1^", "x^12^3", "x^0$", "x^6000y^6000x^0", "1", " ", ""]
+    texts += ["".join(rng.choices(PARSE_TOKENS, k=rng.randint(1, 12)))
+              for _ in range(20_000)]
+    errors = 0
+    for text in texts:
+        want = outcome(reference_parse_word, text)
+        assert outcome(parse_word, text) == want, text
+        errors += isinstance(want, str)
+        assert (outcome(parse_identity, text)
+                == outcome(reference_parse_identity, text)), text
+    # the corpus reaches both branches
+    assert 0 < errors < len(texts)
+
+
+def test_over_cap_text_fails_before_any_scan():
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="longer than"):
+        parse_word("x1" * 10**6)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_over_cap_letter_count_reports_the_length_first():
+    # The one deliberate difference from the reference: a text with more
+    # than MAX_WORD_LENGTH letter characters is too long, whatever else is
+    # wrong with it.
+    for tail, reference_error in [("x^0", "zero exponent"),
+                                  ("$", "unexpected character")]:
+        text = "x" * (MAX_WORD_LENGTH + 1) + tail
+        with pytest.raises(ValueError, match=reference_error):
+            reference_parse_word(text)
+        with pytest.raises(ValueError, match="longer than"):
+            parse_word(text)
+
+
+def test_parsed_letters_are_shared():
+    u, v = parse_word("x y12"), parse_word("y12^2 x")
+    assert u[0] is v[2] and u[1] is v[0] is v[1]
 
 
 def test_iter_matches_free_end_in_search_order():
