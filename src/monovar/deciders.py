@@ -6,16 +6,17 @@ equal keys: the letter set, the sets of once- and repeatedly-occurring
 letters, the word left after deleting repeated letters, the order of
 first or last occurrences, or the divider restrictor maps at a fixed
 decomposition level, possibly kept to the letters of small depth.  A
-variety adds one claim to the variety it extends, so every member of the
-chain has a per-word key, the tuple of its claims' keys, which
-verify_chain compares.  One predecessor rule, _below, lays out the chain
-and its separating identities.  A few varieties are decided by
+variety adds one claim to the variety it extends: it accepts u = v when
+that variety accepts and its claim agrees, so each chain member reads
+only its own claim's key.  One predecessor rule, _below, lays out the
+chain and its separating identities.  A few varieties are decided by
 brute-force evaluation in a finite generator monoid instead.  Dual
 varieties reverse both sides and reuse the base decider.
 """
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass, replace
 from functools import lru_cache, partial
@@ -398,24 +399,33 @@ def separating_witness(smaller: Variety, larger: Variety) -> Identity:
 
 
 @lru_cache(maxsize=256)
-def _plan(kmax: int) -> tuple[tuple[Claim, ...], ...]:
-    """The claims of each member of chain_of(kmax), as decide reads them."""
-    return tuple(_rule(v) for v in chain_of(kmax))
+def _plan(kmax: int) -> tuple[tuple[Optional[int], Claim], ...]:
+    """The table row of each member of chain_of(kmax): the index of the
+    member it extends (None at a root) and the one claim it adds."""
+    chain = chain_of(kmax)
+    index = {v: i for i, v in enumerate(chain)}
+    return tuple((None if parent is None else index[parent], claim)
+                 for parent, claim in (_TABLE[v.family].rule(v) for v in chain))
 
 
-def _keys(p: Profile, kmax: int) -> list[tuple]:
-    """Each member's key on one word: the tuple of its claims' keys.  A
-    member accepts u = v exactly when both words' keys are equal, that is,
-    when all its claims agree, as in decide."""
-    return [tuple(claim.key(p) for claim in claims) for claims in _plan(kmax)]
+def _keys(p: Profile, kmax: int) -> list:
+    """Each member's key on one word: the key of the claim it adds."""
+    return [claim.key(p) for _, claim in _plan(kmax)]
+
+
+def _accepts(kmax: int, ku: list, kv: list) -> list[bool]:
+    """Member bits of u = v from both words' _keys: a member accepts when
+    the member it extends accepts and the claim it adds agrees."""
+    bits: list[bool] = []
+    for (parent, _), a, b in zip(_plan(kmax), ku, kv):
+        bits.append((parent is None or bits[parent]) and a == b)
+    return bits
 
 
 def chain_bits(u: Word, v: Word, kmax: int) -> tuple[bool, ...]:
-    """Acceptance of u = v by every member of chain_of(kmax), in order: a
-    member accepts when all its claims agree, as in decide."""
-    pu, pv = profile(u), profile(v)
-    return tuple(all(claim.key(pu) == claim.key(pv) for claim in claims)
-                 for claims in _plan(kmax))
+    """Acceptance of u = v by every member of chain_of(kmax), in order."""
+    return tuple(_accepts(kmax, _keys(profile(u), kmax),
+                          _keys(profile(v), kmax)))
 
 
 @dataclass(frozen=True)
@@ -447,8 +457,9 @@ def verify_chain(kmax: int = 3, letters: int = 3, max_len: int = 6,
     given alphabet and length budget, and re-test every canonical
     separating witness.
 
-    Every word's member keys are read once.  Every member from C2 on has
-    the letter-class claim, so a pair of words disagreeing there is
+    Every word's keys are read once, one per member, and _accepts turns a
+    pair's keys into member bits.  Every member from C2 on accepts only
+    what C2 accepts, so a pair of words whose letter classes differ is
     accepted by T, maybe SL, and nothing else, an always-monotone pattern
     (test_cross_class_pairs_stop_at_c2 pins this).  Keys are therefore
     compared only for pairs that agree on letter classes, plus an evenly
@@ -485,37 +496,26 @@ def verify_chain(kmax: int = 3, letters: int = 3, max_len: int = 6,
     for i, key in enumerate(classes):
         groups.setdefault(key, []).append(i)
 
-    violations: list[tuple[Identity, Variety, Variety]] = []
-
-    def run(i: int, j: int) -> None:
-        bits = [a == b for a, b in zip(keys[i], keys[j])]
-        for n in range(len(bits) - 1):
-            if bits[n + 1] and not bits[n]:
-                violations.append((Identity(words[i], words[j]), chain[n],
-                                   chain[n + 1]))
-                return
-
-    compared = 0
-    for group in groups.values():
-        for i in group:
-            for j in group:
-                if i != j:
-                    compared += 1
-                    run(i, j)
-
+    # One pair stream: same-class pairs by group, then a sample of the rest
     total = len(words) * (len(words) - 1)
-    cross = total - compared
-    if cross and cross_check:
-        stride = max(1, cross // cross_check)
-        seen = 0
-        for i, ki in enumerate(classes):
-            for j, kj in enumerate(classes):
-                if i == j or ki == kj:
-                    continue
-                if seen % stride == 0:
-                    compared += 1
-                    run(i, j)
-                seen += 1
+    cross = total - sum(len(g) * (len(g) - 1) for g in groups.values())
+    pairs = itertools.chain(
+        ((i, j) for g in groups.values() for i in g for j in g if i != j),
+        itertools.islice(((i, j) for i, ki in enumerate(classes)
+                          for j, kj in enumerate(classes) if ki != kj),
+                         0, None, max(1, cross // cross_check))
+        if cross_check else ())
+
+    violations: list[tuple[Identity, Variety, Variety]] = []
+    compared = 0
+    for i, j in pairs:
+        compared += 1
+        bits = _accepts(kmax, keys[i], keys[j])
+        for n in range(1, len(bits)):
+            if bits[n] and not bits[n - 1]:
+                violations.append((Identity(words[i], words[j]), chain[n - 1],
+                                   chain[n]))
+                break
 
     witness_failures = []
     for small, large in zip(chain, chain[1:]):

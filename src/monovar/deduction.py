@@ -226,6 +226,12 @@ def _successors(w: Word, system: Sequence[Identity], max_len: int):
     return sorted(seen.items(), key=lambda item: item[0].sort_key())
 
 
+# bounded_derive refuses a search whose words could number more than
+# this; the README example needs 3,280 and the derive benchmark's goals
+# at most 29,524.
+MAX_DERIVE_WORDS = 10**6
+
+
 def bounded_derive(
     id_system: Iterable[Identity],
     goal: Identity,
@@ -236,11 +242,24 @@ def bounded_derive(
 
     Identities apply in both directions. None means no deduction within
     the bounds, which says nothing about derivability in general.
+
+    A rewrite only writes letters of the goal, or letters on one side of
+    a system identity only, so the search visits at most sum(k**n for n
+    up to max_len) words over those k letters.  Raises ValueError when
+    that exceeds MAX_DERIVE_WORDS.
     """
     if max_len < 1 or max_steps < 1:
         raise ValueError("bounds must be positive")
     system = sorted(set(id_system),
                     key=lambda i: (i.lhs.sort_key(), i.rhs.sort_key()))
+    k = len(goal.content().union(
+        *(i.lhs.content() ^ i.rhs.content() for i in system)))
+    # past length 20 every k >= 2 is over the cap, so the sum stops there
+    words = (max_len + 1 if k < 2
+             else (k ** (min(max_len, 20) + 1) - 1) // (k - 1))
+    if words > MAX_DERIVE_WORDS:
+        raise ValueError(f"a search over {k} letters up to length {max_len} "
+                         f"may visit more than {MAX_DERIVE_WORDS:.0e} words")
     start, target = goal.lhs, goal.rhs
     if start == target:
         return Deduction((start,))

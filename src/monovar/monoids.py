@@ -18,16 +18,15 @@ from .words import (
 
 
 class Monoid:
-    """A finite monoid given by a multiplication table over element labels."""
+    """A finite monoid given by a multiplication table over element labels;
+    element 0 is the identity."""
 
-    def __init__(self, name: str, labels: list[str], table: list[list[int]],
-                 identity_index: int = 0):
+    def __init__(self, name: str, labels: list[str], table: list[list[int]]):
         n = len(labels)
         assert len(table) == n and all(len(row) == n for row in table)
         self.name = name
         self.labels = list(labels)
         self.table = [list(row) for row in table]
-        self.identity_index = identity_index
         self.index = {label: i for i, label in enumerate(labels)}
         assert len(self.index) == n, "duplicate element labels"
 
@@ -43,9 +42,8 @@ class Monoid:
     def check(self) -> None:
         """Assert associativity and the identity laws."""
         n = len(self)
-        e = self.identity_index
         for i in range(n):
-            assert self.mul(e, i) == i and self.mul(i, e) == i
+            assert self.mul(0, i) == i and self.mul(i, 0) == i
         for i in range(n):
             for j in range(n):
                 ij = self.mul(i, j)
@@ -54,7 +52,7 @@ class Monoid:
                         self.labels[i], self.labels[j], self.labels[k])
 
     def evaluate(self, w: Word, assignment: Mapping[Letter, int]) -> int:
-        acc = self.identity_index
+        acc = 0
         for letter in w:
             acc = self.table[acc][assignment[letter]]
         return acc
@@ -83,9 +81,9 @@ class Monoid:
         slot = {letter: i for i, letter in enumerate(letters)}
         lhs = [slot[letter] for letter in ident.lhs]
         rhs = [slot[letter] for letter in ident.rhs]
-        table, unit = self.table, self.identity_index
+        table = self.table
         for values in itertools.product(range(len(self)), repeat=len(letters)):
-            left = right = unit
+            left = right = 0
             for i in lhs:
                 left = table[left][values[i]]
             for i in rhs:
@@ -204,7 +202,8 @@ def rees_quotient(*ws: Word) -> ReesQuotient:
 
 def _monoid_from_products(name: str, labels: list[str],
                           products: dict[tuple[str, str], str]) -> Monoid:
-    """Table builder; "1" is the identity and "0", if present, absorbs."""
+    """Table builder; "1", listed first, is the identity and "0", if
+    present, absorbs."""
     def prod(a: str, b: str) -> str:
         if a == "1":
             return b
@@ -214,9 +213,10 @@ def _monoid_from_products(name: str, labels: list[str],
             return "0"
         return products[(a, b)]
 
+    assert labels[0] == "1"
     index = {l: i for i, l in enumerate(labels)}
     table = [[index[prod(a, b)] for b in labels] for a in labels]
-    return Monoid(name, labels, table, identity_index=index["1"])
+    return Monoid(name, labels, table)
 
 
 @lru_cache(maxsize=None)

@@ -280,6 +280,18 @@ def test_deduce_search_can_be_inconclusive(capsys):
     assert "result: inconclusive" in out
 
 
+def test_deduce_search_past_its_word_bound_is_a_usage_error(capsys):
+    # 3 letters up to length 14 give 7,174,453 words; refused by
+    # arithmetic before the search starts
+    started = time.perf_counter()
+    code, out, err = run(capsys, "deduce", "--system", "phi+",
+                         "--goal", "xyzxy = yxzxy", "--max-len", "14",
+                         "--max-steps", "50")
+    assert time.perf_counter() - started < 1.0
+    assert code == 2 and out == ""
+    assert "may visit more than 1e+06 words" in err
+
+
 def test_deduce_replays_a_file(capsys, tmp_path):
     path = tmp_path / "chain.txt"
     path.write_text(format_deduction(jkk_deduction(2)), encoding="utf-8")

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from monovar import deciders
 from monovar.catalog import (
     PHI,
     SIGMA1,
@@ -18,6 +19,8 @@ from monovar.catalog import (
 from monovar.deciders import (
     Variety,
     _keys,
+    _plan,
+    _rule,
     chain_bits,
     chain_of,
     decide,
@@ -401,10 +404,9 @@ def reference_bits(u: Word, w: Word, kmax: int) -> dict[str, bool]:
 
 
 def test_chain_bits_agree_with_decide():
-    """chain_bits against decide, against the member keys verify_chain
-    compares, and against reference_bits, which reads Profile.restrictor
-    and Profile.depth letter by letter and shares no code with the claim
-    keys."""
+    """chain_bits against decide, and against reference_bits, which reads
+    Profile.restrictor and Profile.depth letter by letter and shares no
+    code with the claim keys."""
     rng = random.Random(20260815)
     letters = [Letter("x"), Letter("y"), Letter("z")]
     probes = []
@@ -421,8 +423,6 @@ def test_chain_bits_agree_with_decide():
         chain = chain_of(kmax)
         bits = chain_bits(u, w, kmax)
         assert len(bits) == len(chain)
-        keys = zip(_keys(profile(u), kmax), _keys(profile(w), kmax))
-        assert bits == tuple(a == b for a, b in keys), (str(u), str(w))
         ref = reference_bits(u, w, kmax)
         for bit, v in zip(bits, chain):
             assert bit == decide(v, Identity(u, w)).holds, (str(u), str(w), v.name)
@@ -500,6 +500,51 @@ CLAIM_CODES = {
 }
 
 
+def test_plan_rows_extend_their_parents():
+    """Each member's plan row names a member earlier in the chain, so
+    _accepts has its bit before it reads it, and the claims decide reads
+    for the member are its parent's claims plus the one the row adds."""
+    for kmax in range(1, 7):
+        chain = chain_of(kmax)
+        rows = _plan(kmax)
+        assert len(rows) == len(chain)
+        roots = []
+        for n, (v, (parent, claim)) in enumerate(zip(chain, rows)):
+            codes = [c.code for c in _rule(v)]
+            if parent is None:
+                roots.append(v.name)
+                assert codes == [claim.code], v.name
+            else:
+                assert parent < n, (kmax, v.name)
+                inherited = [c.code for c in _rule(chain[parent])]
+                assert codes == inherited + [claim.code], (kmax, v.name)
+        assert roots == ["T", "SL", "C2"]
+
+
+def test_keys_read_one_claim_per_member(monkeypatch):
+    """One key call per member and word, in chain order: 21 per word at
+    kmax 3, where reading every member's claims from the root makes 57."""
+    calls = []
+
+    def count_keys(kmax):
+        rows = []
+        for parent, claim in _plan(kmax):
+            def key(p, claim=claim):
+                calls.append(claim.code)
+                return claim.key(p)
+            rows.append((parent, claim._replace(key=key)))
+        monkeypatch.setattr(deciders, "_plan", lambda _: tuple(rows))
+        return [claim.code for _, claim in rows]
+
+    codes = count_keys(3)
+    _keys(profile(pi("xyzxzy = x").lhs), 3)
+    assert calls == codes and len(calls) == len(chain_of(3)) == 21
+    calls.clear()
+    count_keys(1)
+    report = verify_chain(kmax=1, letters=2, max_len=3)
+    assert report.ok and len(calls) == report.words * len(chain_of(1))
+
+
 # The rest of the variety table: a root claim, an oracle, or no decider.
 OTHER_CODES = {"LRB": "ini", "RRB": "ini", "C3": "oracle", "D2": "oracle",
                "L": "oracle", "M": "oracle"}
@@ -564,6 +609,23 @@ def test_chain_acceptance_survives_multiplication():
                               chain_bits(u + a, w + a, 2)):
                     assert all(b <= m for b, m in zip(bits, moved)), \
                         (str(u), str(w), str(a))
+
+
+@pytest.mark.parametrize("name", ["K", "LRB", "RRB", "C3", "D2", "D3", "L", "M"])
+def test_decided_acceptance_survives_multiplication(name):
+    """The same for the varieties decided outside the chain, through
+    decide: an accepted u = w over {x, y} up to length 4 stays accepted
+    as au = aw and ua = wa."""
+    v = V(name)
+    letters = (Letter("x"), Letter("y"))
+    words = list(iter_words(letters, 4))
+    accepted = [(u, w) for u in words for w in words
+                if u != w and decide(v, Identity(u, w)).holds]
+    assert accepted, name
+    for u, w in accepted:
+        for a in (Word([x]) for x in letters):
+            for moved in (Identity(a + u, a + w), Identity(u + a, w + a)):
+                assert decide(v, moved).holds, (name, str(u), str(w), str(a))
 
 
 def test_acceptance_survives_substitution():

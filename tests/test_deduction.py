@@ -209,6 +209,18 @@ def test_bounded_derive_validates_bounds():
         bounded_derive(PHI, pi("x = x"), 5, 0)
 
 
+def test_bounded_derive_refuses_a_search_past_its_word_bound():
+    # one letter: max_len + 1 words, however long
+    with pytest.raises(ValueError, match="over 1 letters up to length"):
+        bounded_derive([pi("x^2 = x^3")], pi("x = x^2"), 10**9, 5)
+    # y occurs on one side of x = xy only, so rewriting can write it: two
+    # letters up to length 20 give 2,097,151 words
+    with pytest.raises(ValueError, match="over 2 letters up to length 20"):
+        bounded_derive([pi("x = xy")], pi("x = x^2"), 20, 5)
+    # length 18 gives 524,287 words, within the bound
+    bounded_derive([pi("x = xy")], pi("x = x^2"), 18, 2)
+
+
 def test_bounded_derive_respects_max_len():
     # the only route to xyxz from xyxzx passes through a length-6 word
     assert bounded_derive(PHI, IDENTITY_20, 5, 4) is None
