@@ -3,15 +3,15 @@
 Most varieties are decided by claims.  A claim is a key read from one
 word's cached Profile, and it agrees when both sides of an identity have
 equal keys: the letter set, the sets of once- and repeatedly-occurring
-letters, the word left after deleting repeated letters, the order of
-first or last occurrences, or the divider restrictor maps at a fixed
-decomposition level, possibly kept to the letters of small depth.  A
-variety adds one claim to the variety it extends: it accepts u = v when
-that variety accepts and its claim agrees, so each chain member reads
-only its own claim's key.  One predecessor rule, _below, lays out the
-chain and its separating identities.  A few varieties are decided by
-brute-force evaluation in a finite generator monoid instead.  Dual
-varieties reverse both sides and reuse the base decider.
+letters, the word left after deleting repeated letters, the order of first
+or last occurrences, or the divider restrictor maps at a fixed
+decomposition level, possibly kept to the letters of small depth, or at
+stabilization.  A variety adds one claim to the variety it extends: it
+accepts u = v when that variety accepts and its claim agrees, so each
+chain member reads only its own claim's key.  One predecessor rule,
+_below, lays out the chain and its separating identities.  A few varieties
+are decided by brute-force evaluation in a finite generator monoid
+instead.  Dual varieties reverse both sides and reuse the base decider.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import itertools
 import re
 from dataclasses import dataclass, replace
 from functools import lru_cache, partial
-from typing import Callable, Iterator, NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional, Union
 
 from .catalog import (
     ORACLE_WORD_L,
@@ -68,13 +68,14 @@ class Claim(NamedTuple):
 
     key reads one side's profile, and the claim agrees when both sides'
     keys are equal.  differs builds the Reason for sides whose keys
-    differ; agrees is the text reported when they are equal.
+    differ; agrees is the text reported when they are equal, or a
+    function of both profiles that lists the Reasons to report.
     """
 
     code: str
     key: Callable[[Profile], object]
     differs: Optional[Callable[[Profile, Profile], Reason]]
-    agrees: str = "agrees on both sides"
+    agrees: Union[str, Callable] = "agrees on both sides"
 
 
 # Claims past letters are compared only on sides whose letter classes
@@ -235,8 +236,9 @@ class Family(NamedTuple):
 
 
 # The variety table.  Only C2 and D1 of their series are decided by
-# claims, the higher members by oracles.  K adds h1h2 at every level up to
-# stabilization, so decide builds its own claims per identity.
+# claims, the higher members by oracles.  K is C2 plus h1h2 at every
+# level.  F_j lies in F_{j+1}, so h1h2 at a level implies it at every
+# level below, and K compares the stable maps, kept from stabilization on.
 _TABLE: dict[str, Family] = {
     "T": Family(None, lambda v: (None, Claim(
         "trivial", lambda p: None, None,
@@ -260,7 +262,12 @@ _TABLE: dict[str, Family] = {
         f"h1@{v.k}", v.k, "first"))),
     "J": Family(1, lambda v: (Variety("I", k=v.k), _restrictors(
         f"h2-depth@{v.k}:{v.m}", v.k, "second", depth=v.m))),
-    "K": Family(None, lambda v: (_C2, None)),
+    "K": Family(None, lambda v: (_C2, Claim(
+        "h1h2", lambda p: p.restrictors(p.stab),
+        lambda pu, pv: next(c for c in map(_h12, itertools.count())
+                            if c.key(pu) != c.key(pv)).differs(pu, pv),
+        lambda pu, pv: [Reason(f"h1h2@{j}", "agrees on both sides")
+                        for j in range(max(pu.stab, pv.stab) + 1)]))),
     "LRB": Family(None, lambda v: (None, _order("first", lambda p: p.ini))),
     "RRB": Family(None, lambda v: (None, _order("last", _last_order))),
     "L": Family(None, lambda v: ORACLE_WORD_L),
@@ -280,15 +287,7 @@ def _rule(v: Variety):
     if not isinstance(rule, tuple):
         return rule
     parent, claim = rule
-    return ((() if parent is None else _rule(parent))
-            + (() if claim is None else (claim,)))
-
-
-def _k_claims(base: tuple[Claim, ...], pu: Profile,
-              pv: Profile) -> Iterator[Claim]:
-    yield from base
-    for j in range(max(pu.stab, pv.stab) + 1):
-        yield _h12(j)
+    return (() if parent is None else _rule(parent)) + (claim,)
 
 
 def _oracle_verdict(gen: Word, ident: Identity, max_letters: int) -> Verdict:
@@ -314,11 +313,11 @@ def decide(v: Variety, ident: Identity, max_letters: int = 4) -> Verdict:
         return _oracle_verdict(rule, ident, max_letters)
     pu, pw = profile(ident.lhs), profile(ident.rhs)
     passed = []
-    for code, key, differs, agrees in (_k_claims(rule, pu, pw)
-                                       if v.family == "K" else rule):
+    for code, key, differs, agrees in rule:
         if key(pu) != key(pw):
             return Verdict(False, (differs(pu, pw),))
-        passed.append(Reason(code, agrees))
+        passed += (agrees(pu, pw) if callable(agrees)
+                   else [Reason(code, agrees)])
     return Verdict(True, tuple(passed))
 
 

@@ -17,6 +17,11 @@ from .words import (
 )
 
 
+# _first_violation refuses a search of more assignments than this: 21**5
+# (L or M with five letters), 43**4 (D5) and 5**10 (K5) stay within it.
+MAX_ASSIGNMENTS = 10**7
+
+
 class Monoid:
     """A finite monoid given by a multiplication table over element labels;
     element 0 is the identity."""
@@ -77,7 +82,12 @@ class Monoid:
                          letters: tuple[Letter, ...]) -> Optional[dict[Letter, int]]:
         """Brute force over all len(self)**len(letters) assignments, the
         last letter's value changing fastest; the reference every faster
-        check is tested against."""
+        check is tested against.  Raises ValueError, before evaluating
+        any, when there are more than MAX_ASSIGNMENTS."""
+        if len(self) ** len(letters) > MAX_ASSIGNMENTS:
+            raise ValueError(f"checking {ident} in {self.name} takes "
+                             f"{len(self)}**{len(letters)} assignments; the "
+                             f"bound is {MAX_ASSIGNMENTS:.0e}")
         slot = {letter: i for i, letter in enumerate(letters)}
         lhs = [slot[letter] for letter in ident.lhs]
         rhs = [slot[letter] for letter in ident.rhs]

@@ -1,3 +1,4 @@
+import ast
 import os
 import re
 import shlex
@@ -196,6 +197,21 @@ def test_verify_chain_refuses_a_sweep_past_its_work_bound(capsys, flag, value):
     assert "units of work; the bound is" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("monoid", "check", "--monoid", "B21", "--identity",
+     "x^2y^2ztuvwsrq = y^2x^2ztuvwsrq", "--max-letters", "10"),
+    ("decide", "--variety", "L", "--identity", "abcdef = abcdefa",
+     "--max-letters", "6"),
+], ids=["monoid-check", "decide"])
+def test_brute_force_refuses_a_search_past_its_bound(capsys, argv):
+    # 6**10 and 21**6 assignments are refused before the first is tried
+    started = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - started < 1.0
+    assert code == 2 and out == ""
+    assert "assignments; the bound is 1e+07" in err
+
+
 def test_environment_does_not_reach_the_parser(monkeypatch, capsys):
     monkeypatch.setenv("MONOVAR_WORKERS", "abc")
     code, out, _ = run(capsys, "decompose", "xyx")
@@ -347,6 +363,23 @@ def test_module_entry_point_runs():
     assert proc.returncode == 0
     assert "x:3 y:2 z:1 s:inf t:0" in proc.stdout
     assert "elapsed:" in proc.stderr
+
+
+def test_package_modules_use_every_import():
+    """Each module-level import in the package, past __future__, is read
+    as a name somewhere in its module: no import outlives its last use."""
+    paths = sorted(Path(monovar.__file__).parent.glob("*.py"))
+    assert len(paths) == 8
+    for path in paths:
+        tree = ast.parse(path.read_text("utf-8"))
+        used = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if (isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__"):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    assert name in used, f"{path.name} never reads {name}"
 
 
 def readme_tour() -> list[tuple[str, str]]:

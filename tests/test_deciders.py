@@ -17,7 +17,10 @@ from monovar.catalog import (
     gamma,
 )
 from monovar.deciders import (
+    Reason,
     Variety,
+    Verdict,
+    _h12,
     _keys,
     _plan,
     _rule,
@@ -228,6 +231,39 @@ def test_k_accepts_every_base_identity():
     assert decide(V("K"), ident("xyxy = yxyx")).holds
     assert decide(V("K"), ident("x^2y^2 = y^2x^2")).holds
     assert not decide(V("K"), ident("xyx = xxy")).holds
+
+
+def reference_k(probe: Identity) -> str:
+    """K level by level, the slow reference for its stable-map claim: C2,
+    then h1h2 at every level up to the later stabilization, reporting the
+    first level that differs."""
+    c2 = decide(V("C2"), probe)
+    if not c2.holds:
+        return str(c2)
+    pu, pv = profile(probe.lhs), profile(probe.rhs)
+    passed = list(c2.reasons)
+    for j in range(max(pu.stab, pv.stab) + 1):
+        if pu.restrictors(j) != pv.restrictors(j):
+            return str(Verdict(False, (_h12(j).differs(pu, pv),)))
+        passed.append(Reason(f"h1h2@{j}", "agrees on both sides"))
+    return str(Verdict(True, tuple(passed)))
+
+
+def test_k_matches_its_level_by_level_reference():
+    """Every ordered pair of words over {x, y, z} up to length 5 with equal
+    letter classes, and the catalog identities up to k = 12 in both
+    orientations, get the reference's verdict and reasons."""
+    words = list(iter_words(tuple(Letter(b) for b in "xyz"), 5))
+    classes = {u: (profile(u).sim, profile(u).mul) for u in words}
+    probes = [Identity(u, w) for u in words for w in words
+              if classes[u] == classes[w]]
+    assert len(probes) == 8764
+    for k in range(1, 13):
+        for witness in (alpha(k), beta(k), gamma(k),
+                        *(delta(k, m) for m in range(1, k + 1))):
+            probes += [witness, Identity(witness.rhs, witness.lhs)]
+    for probe in probes:
+        assert str(decide(V("K"), probe)) == reference_k(probe), str(probe)
 
 
 # ---------------------------------------------------------------- decide: oracles
@@ -652,7 +688,7 @@ def test_acceptance_survives_substitution():
             for image in images_of(probe):
                 assert all(b <= a for b, a in zip(bits(probe), bits(image))), \
                     (str(probe), str(image))
-    for v in map(V, ("K", "LRB", "RRB", "C3", "D2")):
+    for v in map(V, ("K", "LRB", "RRB", "C3", "D2", "D3", "L", "M")):
         accepted = [probe for probe in pairs if decide(v, probe).holds]
         assert accepted, v.name
         for image in set().union(*map(images_of, accepted)):

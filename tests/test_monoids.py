@@ -98,6 +98,16 @@ def test_satisfies_letter_cap():
     assert not m.satisfies(five, max_letters=5)
     with pytest.raises(ValueError, match="above the cap of 4"):
         rees_quotient(parse_word("xy")).satisfies(five)
+    # with the cap raised, brute force refuses more than MAX_ASSIGNMENTS
+    # before evaluating any; factor matching alone needs no bound
+    bound = "assignments; the bound is 1e[+]07"
+    with pytest.raises(ValueError, match=rf"6\*\*10 {bound}"):
+        b21().satisfies(identity("x^2y^2ztuvwsrq", "y^2x^2ztuvwsrq"),
+                        max_letters=10)
+    six = identity("abcdef", "abcdefa")
+    with pytest.raises(ValueError, match=rf"21\*\*6 {bound}"):
+        rees_quotient(ORACLE_WORD_L).find_violation(six, max_letters=6)
+    assert not rees_quotient(ORACLE_WORD_L).satisfies(six, max_letters=6)
 
 
 DIFFERENTIAL_QUOTIENTS = [
