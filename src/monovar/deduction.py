@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .catalog import code_of, coded_identity
@@ -19,6 +20,7 @@ from .words import (
     Letter,
     Substitution,
     Word,
+    collapsing_letters,
     iter_matches,
     letter_key,
     parse_word,
@@ -208,22 +210,35 @@ def _successors(w: Word, system: Sequence[Identity], max_len: int):
 
     One matcher run per start i yields every factor w[i:j] at once; a
     stable sort by stop visits the factors in the order of a loop over j.
+    The matcher never maps a collapsing letter of the identity to the
+    empty word, since those matches give back w.  Each candidate is a
+    letter tuple, checked against the words already found before its
+    Word, substitution and step are built.
     """
-    seen: dict[Word, RewriteStep] = {}
+    letters = w.letters
+    seen: dict[tuple[Letter, ...], RewriteStep] = {}
     for ident in system:
         sides = (ident.lhs, ident.rhs)
+        nonempty = collapsing_letters(ident)
+        code = code_of(ident)
         for source, target in (sides, sides[::-1]):
-            for i in range(len(w) + 1):
-                found = sorted(
-                    ((stop, {letter: Word(image) for letter, image in xi.items()})
-                     for stop, xi in iter_matches(source.letters, w.letters, i)),
-                    key=lambda match: match[0])
-                for j, xi in found:
-                    nxt = w[:i] + substitute(target, xi) + w[j:]
-                    if nxt == w or len(nxt) > max_len or nxt in seen:
-                        continue
-                    seen[nxt] = step(ident, xi, w[:i], w[j:])
-    return sorted(seen.items(), key=lambda item: item[0].sort_key())
+            for i in range(len(letters) + 1):
+                head = letters[:i]
+                found = []
+                for stop, xi in iter_matches(source.letters, letters, i,
+                                             nonempty):
+                    nxt = head + tuple(chain.from_iterable(
+                        xi.get(l, (l,)) for l in target.letters)) + letters[stop:]
+                    if nxt != letters and len(nxt) <= max_len and nxt not in seen:
+                        found.append((stop, nxt, dict(xi)))
+                found.sort(key=lambda match: match[0])
+                for j, nxt, xi in found:
+                    if nxt not in seen:
+                        seen[nxt] = step(
+                            ident, {l: Word(image) for l, image in xi.items()},
+                            w[:i], w[j:], code)
+    return sorted(((Word(nxt), st) for nxt, st in seen.items()),
+                  key=lambda item: item[0].sort_key())
 
 
 # bounded_derive refuses a search whose words could number more than

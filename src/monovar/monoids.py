@@ -10,6 +10,7 @@ from .words import (
     Identity,
     Letter,
     Word,
+    collapsing_letters,
     iter_matches,
     iter_words,
     letter_key,
@@ -182,18 +183,28 @@ class ReesQuotient(Monoid):
         """S(W) satisfies u = v exactly when u and v have the same content
         and every substitution mapping one side onto a factor of a
         generator maps the other side onto the same factor (Jackson and
-        Sapir, Finitely based, finite sets of words, 2000)."""
-        u, v = ident.lhs, ident.rhs
-        return (u.content() != v.content() or self._moves_a_factor(u, v)
-                or self._moves_a_factor(v, u))
+        Sapir, Finitely based, finite sets of words, 2000).
 
-    def _moves_a_factor(self, u: Word, v: Word) -> bool:
-        """Whether some substitution maps u onto a factor of a generator
-        and v onto a different word."""
+        A substitution sending a collapsing letter to the empty word maps
+        both sides to the same word, so the search skips those; the set
+        is the same in both directions and is worked out once."""
+        u, v = ident.lhs, ident.rhs
+        if u.content() != v.content():
+            return True
+        nonempty = collapsing_letters(ident)
+        return (self._moves_a_factor(u, v, nonempty)
+                or self._moves_a_factor(v, u, nonempty))
+
+    def _moves_a_factor(self, u: Word, v: Word,
+                        nonempty: frozenset[Letter]) -> bool:
+        """Whether some substitution, with nonempty images for the letters
+        of nonempty, maps u onto a factor of a generator and v onto a
+        different word."""
         for w in self.words:
             target = w.letters
             for start in range(len(target)):
-                for stop, xi in iter_matches(u.letters, target, start):
+                for stop, xi in iter_matches(u.letters, target, start,
+                                             nonempty):
                     image = tuple(itertools.chain.from_iterable(
                         xi[letter] for letter in v.letters))
                     if image != target[start:stop]:

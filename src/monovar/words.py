@@ -229,19 +229,40 @@ def identity(lhs: str, rhs: str) -> Identity:
     return Identity(parse_word(lhs), parse_word(rhs))
 
 
+def collapsing_letters(ident: Identity) -> frozenset[Letter]:
+    """The letters l with lhs.delete({l}) == rhs.delete({l}).
+
+    Every substitution sending such a letter to the empty word gives the
+    two sides the same image, e.g. x and y in xyzxty = yxzxty.
+    """
+    u, v = ident.lhs.letters, ident.rhs.letters
+    return frozenset(
+        l for l in set(u).union(v)
+        if len(u) - u.count(l) == len(v) - v.count(l)
+        and [a for a in u if a != l] == [b for b in v if b != l])
+
+
 def iter_matches(
     pattern: Sequence[Letter], target: Sequence[Letter], start: int = 0,
+    nonempty: frozenset[Letter] = frozenset(),
 ) -> Iterator[tuple[int, dict[Letter, tuple[Letter, ...]]]]:
     """Every substitution xi with xi(pattern) == target[start:stop], for any
-    stop, as (stop, xi).  Letters may map to the empty word; images are
-    slices of target.
+    stop, as (stop, xi).  Letters may map to the empty word, except those
+    in nonempty; images are slices of target.
 
     Matches come depth first: the earliest pattern letter that is free to
-    choose takes its shorter images first.  The yielded dict is reused and
-    changes when the generator resumes, so copy it to keep it.
+    choose takes its shorter images first.  A letter of nonempty starts at
+    length 1 instead of 0, which skips exactly the subtrees where it maps
+    to the empty word and keeps the order of the other matches.  Callers
+    pass the collapsing letters of an identity (see collapsing_letters),
+    whose empty image only gives matches where both sides agree.  The
+    yielded dict is reused and changes when the generator resumes, so copy
+    it to keep it.
     """
     target = tuple(target)
     m, n = len(pattern), len(target)
+    # the length of each pattern position's first image when it binds
+    least = [1 if letter in nonempty else 0 for letter in pattern]
     bound: dict[Letter, tuple[Letter, ...]] = {}
     # One frame per matched pattern position: where its image starts and
     # stops, and whether the letter was first bound there (only such a
@@ -256,14 +277,18 @@ def iter_matches(
             letter = pattern[i]
             image = bound.get(letter)
             if image is None:
-                bound[letter] = ()
-                frames.append((pos, pos, True))
-                continue
-            stop = pos + len(image)
-            if target[pos:stop] == image:
-                frames.append((pos, stop, False))
-                pos = stop
-                continue
+                stop = pos + least[i]
+                if stop <= n:
+                    bound[letter] = target[pos:stop]
+                    frames.append((pos, stop, True))
+                    pos = stop
+                    continue
+            else:
+                stop = pos + len(image)
+                if target[pos:stop] == image:
+                    frames.append((pos, stop, False))
+                    pos = stop
+                    continue
         while frames:
             begin, stop, free = frames.pop()
             if not free:

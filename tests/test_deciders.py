@@ -647,7 +647,8 @@ def test_chain_acceptance_survives_multiplication():
                         (str(u), str(w), str(a))
 
 
-@pytest.mark.parametrize("name", ["K", "LRB", "RRB", "C3", "D2", "D3", "L", "M"])
+@pytest.mark.parametrize("name", ["K", "LRB", "RRB", "C3", "D2", "D3", "D4",
+                                  "L", "M"])
 def test_decided_acceptance_survives_multiplication(name):
     """The same for the varieties decided outside the chain, through
     decide: an accepted u = w over {x, y} up to length 4 stays accepted
@@ -688,7 +689,7 @@ def test_acceptance_survives_substitution():
             for image in images_of(probe):
                 assert all(b <= a for b, a in zip(bits(probe), bits(image))), \
                     (str(probe), str(image))
-    for v in map(V, ("K", "LRB", "RRB", "C3", "D2", "D3", "L", "M")):
+    for v in map(V, ("K", "LRB", "RRB", "C3", "D2", "D3", "D4", "L", "M")):
         accepted = [probe for probe in pairs if decide(v, probe).holds]
         assert accepted, v.name
         for image in set().union(*map(images_of, accepted)):

@@ -264,9 +264,9 @@ def test_successors_match_the_per_factor_search(name):
 def test_successors_search_once_per_start_position(monkeypatch):
     calls = []
 
-    def counting(pattern, target, start=0):
+    def counting(pattern, target, start=0, nonempty=frozenset()):
         calls.append(start)
-        return iter_matches(pattern, target, start)
+        return iter_matches(pattern, target, start, nonempty)
 
     monkeypatch.setattr(deduction, "iter_matches", counting)
     system = identity_system("phi+")
@@ -274,3 +274,17 @@ def test_successors_search_once_per_start_position(monkeypatch):
     deduction._successors(w, system, 8)
     # two sides of each of the 5 identities, one run per start 0..6
     assert len(calls) == 2 * len(system) * (len(w) + 1) == 70
+
+
+def test_successors_skip_the_collapsing_letters_empty_images(monkeypatch):
+    yielded = []
+
+    def counting(*args):
+        for match in iter_matches(*args):
+            yielded.append(match[0])
+            yield match
+
+    monkeypatch.setattr(deduction, "iter_matches", counting)
+    deduction._successors(pw("xyxzyx"), identity_system("phi+"), 8)
+    # 527 without the pruning, almost all of them giving back xyxzyx
+    assert len(yielded) == 17

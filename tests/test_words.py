@@ -3,7 +3,7 @@ import re
 import time
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from monovar.decomposition import profile
 from monovar.words import (
@@ -13,6 +13,7 @@ from monovar.words import (
     L,
     Letter,
     Word,
+    collapsing_letters,
     identity,
     iter_matches,
     iter_words,
@@ -177,6 +178,38 @@ def test_iter_matches_free_end_in_search_order():
                    (3, {"x": "", "y": "ba"})]
     stops = [stop for stop, _ in iter_matches(pattern, target)]
     assert stops == [0, 1, 2, 3, 3]
+
+
+XYZ = [L("x"), L("y"), L("z")]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(XYZ), max_size=5),
+       st.lists(st.sampled_from(XYZ), max_size=7),
+       st.sets(st.sampled_from(XYZ)), st.data())
+def test_pruned_matches_are_the_unpruned_ones_with_nonempty_images(
+        pattern, target, nonempty, data):
+    """The slow reference for the nonempty argument: the plain matcher's
+    matches, in its order, minus those sending a letter of nonempty to the
+    empty word."""
+    start = data.draw(st.integers(0, len(target)))
+    nonempty = frozenset(nonempty)
+    got = [(stop, dict(xi))
+           for stop, xi in iter_matches(pattern, target, start, nonempty)]
+    reference = [(stop, dict(xi))
+                 for stop, xi in iter_matches(pattern, target, start)
+                 if all(xi[l] for l in nonempty & xi.keys())]
+    assert got == reference
+
+
+@pytest.mark.parametrize("text, letters", [
+    ("xyx = xyxx", "x"),
+    ("xxyy = yyxx", "xy"),
+    ("xyxzx = xyxz", "x"),
+    ("xyzxty = yxzxty", "xy"),
+])
+def test_collapsing_letters_of_catalog_identities(text, letters):
+    assert collapsing_letters(parse_identity(text)) == {L(c) for c in letters}
 
 
 def test_occurrences_and_positions():
