@@ -242,13 +242,29 @@ def collapsing_letters(ident: Identity) -> frozenset[Letter]:
         and [a for a in u if a != l] == [b for b in v if b != l])
 
 
+@lru_cache(maxsize=256)
+def _budget_plan(pattern: tuple[Letter, ...], nonempty: frozenset[Letter]
+                 ) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+    """iter_matches' set-up for one pattern: per position, the length of
+    its first image when it binds and the budget one more letter of its
+    image spends (1 plus the later occurrences of its letter); then the
+    least length of the whole pattern's image."""
+    least = tuple(1 if letter in nonempty else 0 for letter in pattern)
+    occurrences: dict[Letter, int] = {}
+    cost = []
+    for letter in reversed(pattern):
+        occurrences[letter] = occurrences.get(letter, 0) + 1
+        cost.append(occurrences[letter])
+    return least, tuple(reversed(cost)), sum(least)
+
+
 def iter_matches(
     pattern: Sequence[Letter], target: Sequence[Letter], start: int = 0,
     nonempty: frozenset[Letter] = frozenset(),
 ) -> Iterator[tuple[int, dict[Letter, tuple[Letter, ...]]]]:
     """Every substitution xi with xi(pattern) == target[start:stop], for any
-    stop, as (stop, xi).  Letters may map to the empty word, except those
-    in nonempty; images are slices of target.
+    stop, as (stop, xi), for 0 <= start <= len(target).  Letters may map to
+    the empty word, except those in nonempty; images are slices of target.
 
     Matches come depth first: the earliest pattern letter that is free to
     choose takes its shorter images first.  A letter of nonempty starts at
@@ -258,16 +274,34 @@ def iter_matches(
     whose empty image only gives matches where both sides agree.  The
     yielded dict is reused and changes when the generator resumes, so copy
     it to keep it.
+
+    A length budget cuts the search.  need is the least total length the
+    unmatched pattern positions can still take: each counts its letter's
+    image length if the letter is bound, else 1 or 0 as the letter is in
+    nonempty or not.  The budget is len(target) - pos - need.  Binding a
+    letter at its least length, or matching a bound one, moves pos up and
+    need down by the same amount, so only a longer image spends budget:
+    one more letter for a letter with k later occurrences spends 1 + k,
+    since each of them grows too.  A letter stops growing when that would
+    overspend, and a start whose budget is negative yields nothing.  No
+    subtree so cut holds a complete match, and the others are searched as
+    before, so the matches and their order are those of the search
+    without the budget.
     """
     target = tuple(target)
-    m, n = len(pattern), len(target)
-    # the length of each pattern position's first image when it binds
-    least = [1 if letter in nonempty else 0 for letter in pattern]
+    least, cost, need = _budget_plan(tuple(pattern), nonempty)
+    budget = len(target) - start - need
+    if budget < 0:
+        return
+    m = len(pattern)
     bound: dict[Letter, tuple[Letter, ...]] = {}
-    # One frame per matched pattern position: where its image starts and
-    # stops, and whether the letter was first bound there (only such a
-    # frame can take a longer image when the search backtracks).
-    frames: list[tuple[int, int, bool]] = []
+    # One frame per matched pattern position.  A letter first bound there
+    # keeps where its image starts and stops and the budget left with that
+    # image, since only such a frame can take a longer image when the
+    # search backtracks; popping it restores that budget.  A bound
+    # letter's frame is None.  The budget never goes negative, so no image
+    # runs past the end of target.
+    frames: list[Optional[tuple[int, int, int]]] = []
     pos = start
     while True:
         i = len(frames)
@@ -278,26 +312,27 @@ def iter_matches(
             image = bound.get(letter)
             if image is None:
                 stop = pos + least[i]
-                if stop <= n:
-                    bound[letter] = target[pos:stop]
-                    frames.append((pos, stop, True))
-                    pos = stop
-                    continue
-            else:
-                stop = pos + len(image)
-                if target[pos:stop] == image:
-                    frames.append((pos, stop, False))
-                    pos = stop
-                    continue
-        while frames:
-            begin, stop, free = frames.pop()
-            if not free:
+                bound[letter] = target[pos:stop]
+                frames.append((pos, stop, budget))
+                pos = stop
                 continue
-            letter = pattern[len(frames)]
-            if stop < n:
+            stop = pos + len(image)
+            if target[pos:stop] == image:
+                frames.append(None)
+                pos = stop
+                continue
+        while frames:
+            frame = frames.pop()
+            if frame is None:
+                continue
+            begin, stop, budget = frame
+            i = len(frames)
+            letter = pattern[i]
+            if budget >= cost[i]:
+                budget -= cost[i]
                 stop += 1
                 bound[letter] = target[begin:stop]
-                frames.append((begin, stop, True))
+                frames.append((begin, stop, budget))
                 pos = stop
                 break
             del bound[letter]

@@ -28,6 +28,7 @@ from monovar.words import (
     parse_word,
     substitute,
 )
+from test_words import reference_matches
 
 pw = parse_word
 pi = parse_identity
@@ -226,8 +227,9 @@ def test_bounded_derive_respects_max_len():
     assert bounded_derive(PHI, IDENTITY_20, 5, 4) is None
 
 
-# The slow reference for _successors: a fresh matcher run on every factor
-# w[i:j], keeping the matches that cover the whole factor.
+# The slow reference for _successors: a fresh run of the reference search,
+# without collapsing letters or the length budget, on every factor w[i:j],
+# keeping the matches that cover the whole factor.
 
 def successors_by_factor(w, system, max_len):
     seen = {}
@@ -237,7 +239,8 @@ def successors_by_factor(w, system, max_len):
             for i in range(len(w) + 1):
                 for j in range(i, len(w) + 1):
                     factor = w[i:j]
-                    for stop, xi in iter_matches(source.letters, factor.letters):
+                    for stop, xi in reference_matches(source.letters,
+                                                      factor.letters):
                         if stop != len(factor):
                             continue
                         xi = {letter: Word(image) for letter, image in xi.items()}

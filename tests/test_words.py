@@ -180,7 +180,78 @@ def test_iter_matches_free_end_in_search_order():
     assert stops == [0, 1, 2, 3, 3]
 
 
+def reference_matches(pattern, target, start=0, nonempty=frozenset()):
+    """The slow reference for iter_matches: the same depth-first search
+    without the length budget, so a free letter grows its image up to the
+    end of target and a bound letter is compared even where the rest of
+    the pattern cannot fit."""
+    target = tuple(target)
+    m, n = len(pattern), len(target)
+    # the length of each pattern position's first image when it binds
+    least = [1 if letter in nonempty else 0 for letter in pattern]
+    bound = {}
+    # One frame per matched pattern position: where its image starts and
+    # stops, and whether the letter was first bound there (only such a
+    # frame can take a longer image when the search backtracks).
+    frames = []
+    pos = start
+    while True:
+        i = len(frames)
+        if i == m:
+            yield pos, bound
+        else:
+            letter = pattern[i]
+            image = bound.get(letter)
+            if image is None:
+                stop = pos + least[i]
+                if stop <= n:
+                    bound[letter] = target[pos:stop]
+                    frames.append((pos, stop, True))
+                    pos = stop
+                    continue
+            else:
+                stop = pos + len(image)
+                if target[pos:stop] == image:
+                    frames.append((pos, stop, False))
+                    pos = stop
+                    continue
+        while frames:
+            begin, stop, free = frames.pop()
+            if not free:
+                continue
+            letter = pattern[len(frames)]
+            if stop < n:
+                stop += 1
+                bound[letter] = target[begin:stop]
+                frames.append((begin, stop, True))
+                pos = stop
+                break
+            del bound[letter]
+        else:
+            return
+
+
+def copied(search, pattern, target, start=0, nonempty=frozenset()):
+    """A matcher's (stop, xi) list, each xi copied as it is yielded."""
+    return [(stop, dict(xi))
+            for stop, xi in search(pattern, target, start, nonempty)]
+
+
 XYZ = [L("x"), L("y"), L("z")]
+XYZT = XYZ + [L("t")]
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.sampled_from(XYZT), max_size=6),
+       st.lists(st.sampled_from(XYZT), max_size=9),
+       st.sets(st.sampled_from(XYZT)), st.data())
+def test_iter_matches_is_the_reference_search(pattern, target, nonempty, data):
+    """The length budget cuts only subtrees without a complete match: the
+    same stops and substitutions, in the same order."""
+    start = data.draw(st.integers(0, len(target)))
+    nonempty = frozenset(nonempty)
+    assert (copied(iter_matches, pattern, target, start, nonempty)
+            == copied(reference_matches, pattern, target, start, nonempty))
 
 
 @settings(max_examples=300, deadline=None)
@@ -189,17 +260,79 @@ XYZ = [L("x"), L("y"), L("z")]
        st.sets(st.sampled_from(XYZ)), st.data())
 def test_pruned_matches_are_the_unpruned_ones_with_nonempty_images(
         pattern, target, nonempty, data):
-    """The slow reference for the nonempty argument: the plain matcher's
-    matches, in its order, minus those sending a letter of nonempty to the
-    empty word."""
+    """The slow reference for the nonempty argument: the reference
+    search's matches without it, in its order, minus those sending a
+    letter of nonempty to the empty word."""
     start = data.draw(st.integers(0, len(target)))
     nonempty = frozenset(nonempty)
-    got = [(stop, dict(xi))
-           for stop, xi in iter_matches(pattern, target, start, nonempty)]
-    reference = [(stop, dict(xi))
-                 for stop, xi in iter_matches(pattern, target, start)
+    got = copied(iter_matches, pattern, target, start, nonempty)
+    reference = [(stop, xi)
+                 for stop, xi in copied(reference_matches, pattern, target,
+                                        start)
                  if all(xi[l] for l in nonempty & xi.keys())]
     assert got == reference
+
+
+def text_matches(pattern, target, start=0, nonempty=""):
+    """iter_matches on parsed words as (stop, {letter: image}) texts,
+    checked against the reference search."""
+    pattern, target = parse_word(pattern).letters, parse_word(target).letters
+    nonempty = frozenset(L(c) for c in nonempty)
+    got = copied(iter_matches, pattern, target, start, nonempty)
+    assert got == copied(reference_matches, pattern, target, start, nonempty)
+    return [(stop, {str(l): "".join(map(str, im)) for l, im in xi.items()})
+            for stop, xi in got]
+
+
+def test_iter_matches_budget_boundaries():
+    # a start at the end of target leaves room for empty images only
+    assert text_matches("xyx", "aba", 3) == [(3, {"x": "", "y": ""})]
+    assert text_matches("xyx", "aba", 3, "y") == []
+    # the empty pattern matches once, at every start
+    for start in range(4):
+        assert text_matches("1", "aba", start) == [(start, {})]
+    # x, y, x need three letters: two remain after start 3, three after 2
+    assert text_matches("xyx", "abcbc", 3, "xy") == []
+    assert text_matches("xyx", "abcbc", 2, "xy") == [(5, {"x": "c", "y": "b"})]
+    # three occurrences of x in 7 letters: images up to length 2, not 3
+    assert text_matches("xxx", "a^8", 1) == [
+        (1, {"x": ""}), (4, {"x": "a"}), (7, {"x": "aa"})]
+    assert [(stop, xi["x"]) for stop, xi in text_matches("xxxy", "a^7", 0, "y")
+            if stop == 7] == [(7, ""), (7, "a"), (7, "aa")]
+    # a free letter at the last position still reaches the end of target
+    assert text_matches("xy", "ab") == [
+        (0, {"x": "", "y": ""}), (1, {"x": "", "y": "a"}),
+        (2, {"x": "", "y": "ab"}), (1, {"x": "a", "y": ""}),
+        (2, {"x": "a", "y": "b"}), (2, {"x": "ab", "y": ""})]
+    # ... also after x took the longest image its two occurrences allow
+    assert [(stop, xi) for stop, xi in text_matches("xyxz", "ababa", 0, "z")
+            if xi["x"] == "ab"] == [(5, {"x": "ab", "y": "", "z": "a"})]
+
+
+def test_budget_cuts_the_search_steps():
+    """Each step of either search reads one pattern position.  Matching
+    the left side of sigma1 at every start of xyxzyxzy, skipping the
+    collapsing letters' empty images, the budget leaves a fifth of the
+    reference's steps and the same 10 matches."""
+    ident = parse_identity("xyzxty = yxzxty")
+    target = parse_word("xyxzyxzy").letters
+    nonempty = collapsing_letters(ident)
+
+    def steps(search):
+        reads = []
+
+        class Pattern(tuple):
+            def __getitem__(self, i):
+                reads.append(i)
+                return tuple.__getitem__(self, i)
+
+        pattern = Pattern(ident.lhs.letters)
+        found = sum(len(copied(search, pattern, target, start, nonempty))
+                    for start in range(len(target) + 1))
+        return len(reads), found
+
+    assert steps(iter_matches) == (161, 10)
+    assert steps(reference_matches) == (788, 10)
 
 
 @pytest.mark.parametrize("text, letters", [
