@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import chain
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .catalog import code_of, coded_identity
@@ -21,6 +20,7 @@ from .words import (
     Substitution,
     Word,
     collapsing_letters,
+    image_letters,
     iter_matches,
     letter_key,
     parse_word,
@@ -208,12 +208,12 @@ def format_deduction(d: Deduction) -> str:
 def _successors(w: Word, system: Sequence[Identity], max_len: int):
     """Deterministic list of (next word, step) one application away.
 
-    One matcher run per start i yields every factor w[i:j] at once; a
-    stable sort by stop visits the factors in the order of a loop over j.
-    The matcher never maps a collapsing letter of the identity to the
-    empty word, since those matches give back w.  Each candidate is a
-    letter tuple, checked against the words already found before its
-    Word, substitution and step are built.
+    One matcher run per identity side yields every factor w[i:j] it
+    matches; a stable sort by (i, j) visits them in the order of a loop
+    over i, then j.  The matcher never maps a collapsing letter of the
+    identity to the empty word, since those matches give back w.  Each
+    candidate is a letter tuple, checked against the words already found
+    before its Word, substitution and step are built.
     """
     letters = w.letters
     seen: dict[tuple[Letter, ...], RewriteStep] = {}
@@ -222,21 +222,17 @@ def _successors(w: Word, system: Sequence[Identity], max_len: int):
         nonempty = collapsing_letters(ident)
         code = code_of(ident)
         for source, target in (sides, sides[::-1]):
-            for i in range(len(letters) + 1):
-                head = letters[:i]
-                found = []
-                for stop, xi in iter_matches(source.letters, letters, i,
-                                             nonempty):
-                    nxt = head + tuple(chain.from_iterable(
-                        xi.get(l, (l,)) for l in target.letters)) + letters[stop:]
-                    if nxt != letters and len(nxt) <= max_len and nxt not in seen:
-                        found.append((stop, nxt, dict(xi)))
-                found.sort(key=lambda match: match[0])
-                for j, nxt, xi in found:
-                    if nxt not in seen:
-                        seen[nxt] = step(
-                            ident, {l: Word(image) for l, image in xi.items()},
-                            w[:i], w[j:], code)
+            found = []
+            for i, j, xi in iter_matches(source.letters, letters, nonempty):
+                nxt = letters[:i] + image_letters(target.letters, xi) + letters[j:]
+                if nxt != letters and len(nxt) <= max_len and nxt not in seen:
+                    found.append((i, j, nxt, dict(xi)))
+            found.sort(key=lambda match: match[:2])
+            for i, j, nxt, xi in found:
+                if nxt not in seen:
+                    seen[nxt] = step(
+                        ident, {l: Word(image) for l, image in xi.items()},
+                        w[:i], w[j:], code)
     return sorted(((Word(nxt), st) for nxt, st in seen.items()),
                   key=lambda item: item[0].sort_key())
 

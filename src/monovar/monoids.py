@@ -11,6 +11,7 @@ from .words import (
     Letter,
     Word,
     collapsing_letters,
+    image_letters,
     iter_matches,
     iter_words,
     letter_key,
@@ -199,16 +200,12 @@ class ReesQuotient(Monoid):
                         nonempty: frozenset[Letter]) -> bool:
         """Whether some substitution, with nonempty images for the letters
         of nonempty, maps u onto a factor of a generator and v onto a
-        different word."""
+        different word: one matcher run per generator, over every start."""
         for w in self.words:
             target = w.letters
-            for start in range(len(target)):
-                for stop, xi in iter_matches(u.letters, target, start,
-                                             nonempty):
-                    image = tuple(itertools.chain.from_iterable(
-                        xi[letter] for letter in v.letters))
-                    if image != target[start:stop]:
-                        return True
+            for start, stop, xi in iter_matches(u.letters, target, nonempty):
+                if image_letters(v.letters, xi) != target[start:stop]:
+                    return True
         return False
 
     def letter_index(self, letter: Letter) -> int:

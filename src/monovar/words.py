@@ -185,19 +185,19 @@ def _too_long(text: str) -> ValueError:
 Substitution = Mapping[Letter, Word]
 
 
+def image_letters(letters: Iterable[Letter],
+                  xi: Mapping[Letter, Iterable[Letter]]) -> tuple[Letter, ...]:
+    """The letters of xi(letters); unlisted letters map to themselves, and
+    an image may be a Word or a letter tuple, the empty one included."""
+    return tuple(itertools.chain.from_iterable(xi.get(l, (l,)) for l in letters))
+
+
 def substitute(w: Word, xi: Substitution) -> Word:
     """Apply the endomorphism xi to w. Unlisted letters map to themselves.
 
     Mapping a letter to the empty word is allowed.
     """
-    out: list[Letter] = []
-    for l in w:
-        image = xi.get(l)
-        if image is None:
-            out.append(l)
-        else:
-            out.extend(image.letters)
-    return Word(out)
+    return Word(image_letters(w, xi))
 
 
 @dataclass(frozen=True)
@@ -259,21 +259,21 @@ def _budget_plan(pattern: tuple[Letter, ...], nonempty: frozenset[Letter]
 
 
 def iter_matches(
-    pattern: Sequence[Letter], target: Sequence[Letter], start: int = 0,
+    pattern: Sequence[Letter], target: Sequence[Letter],
     nonempty: frozenset[Letter] = frozenset(),
-) -> Iterator[tuple[int, dict[Letter, tuple[Letter, ...]]]]:
-    """Every substitution xi with xi(pattern) == target[start:stop], for any
-    stop, as (stop, xi), for 0 <= start <= len(target).  Letters may map to
-    the empty word, except those in nonempty; images are slices of target.
+) -> Iterator[tuple[int, int, dict[Letter, tuple[Letter, ...]]]]:
+    """Every substitution xi with xi(pattern) == target[start:stop], for
+    any factor of target, as (start, stop, xi).  Letters may map to the
+    empty word, except those in nonempty; images are slices of target.
 
-    Matches come depth first: the earliest pattern letter that is free to
-    choose takes its shorter images first.  A letter of nonempty starts at
-    length 1 instead of 0, which skips exactly the subtrees where it maps
-    to the empty word and keeps the order of the other matches.  Callers
-    pass the collapsing letters of an identity (see collapsing_letters),
-    whose empty image only gives matches where both sides agree.  The
-    yielded dict is reused and changes when the generator resumes, so copy
-    it to keep it.
+    Matches come by start, and depth first within a start: the earliest
+    pattern letter that is free to choose takes its shorter images first.
+    A letter of nonempty starts at length 1 instead of 0, which skips
+    exactly the subtrees where it maps to the empty word and keeps the
+    order of the other matches.  Callers pass the collapsing letters of an
+    identity (see collapsing_letters), whose empty image only gives
+    matches where both sides agree.  The yielded dict is reused and
+    changes when the generator resumes, so copy it to keep it.
 
     A length budget cuts the search.  need is the least total length the
     unmatched pattern positions can still take: each counts its letter's
@@ -283,61 +283,60 @@ def iter_matches(
     need down by the same amount, so only a longer image spends budget:
     one more letter for a letter with k later occurrences spends 1 + k,
     since each of them grows too.  A letter stops growing when that would
-    overspend, and a start whose budget is negative yields nothing.  No
-    subtree so cut holds a complete match, and the others are searched as
-    before, so the matches and their order are those of the search
-    without the budget.
+    overspend, and the starts run up to len(target) - need only, the last
+    whose budget is not negative.  No subtree so cut holds a complete
+    match, and the others are searched as before, so the matches and
+    their order are those of the search without the budget.
     """
     target = tuple(target)
     least, cost, need = _budget_plan(tuple(pattern), nonempty)
-    budget = len(target) - start - need
-    if budget < 0:
-        return
     m = len(pattern)
     bound: dict[Letter, tuple[Letter, ...]] = {}
-    # One frame per matched pattern position.  A letter first bound there
-    # keeps where its image starts and stops and the budget left with that
-    # image, since only such a frame can take a longer image when the
-    # search backtracks; popping it restores that budget.  A bound
-    # letter's frame is None.  The budget never goes negative, so no image
-    # runs past the end of target.
-    frames: list[Optional[tuple[int, int, int]]] = []
-    pos = start
-    while True:
-        i = len(frames)
-        if i == m:
-            yield pos, bound
-        else:
-            letter = pattern[i]
-            image = bound.get(letter)
-            if image is None:
-                stop = pos + least[i]
-                bound[letter] = target[pos:stop]
-                frames.append((pos, stop, budget))
-                pos = stop
-                continue
-            stop = pos + len(image)
-            if target[pos:stop] == image:
-                frames.append(None)
-                pos = stop
-                continue
-        while frames:
-            frame = frames.pop()
-            if frame is None:
-                continue
-            begin, stop, budget = frame
+    for start in range(len(target) - need + 1):
+        budget = len(target) - start - need
+        # One frame per matched pattern position.  A letter first bound
+        # there keeps where its image starts and stops and the budget left
+        # with that image, since only such a frame can take a longer image
+        # when the search backtracks; popping it restores that budget.  A
+        # bound letter's frame is None.  The budget never goes negative,
+        # so no image runs past the end of target.
+        frames: list[Optional[tuple[int, int, int]]] = []
+        pos = start
+        while True:
             i = len(frames)
-            letter = pattern[i]
-            if budget >= cost[i]:
-                budget -= cost[i]
-                stop += 1
-                bound[letter] = target[begin:stop]
-                frames.append((begin, stop, budget))
-                pos = stop
+            if i == m:
+                yield start, pos, bound
+            else:
+                letter = pattern[i]
+                image = bound.get(letter)
+                if image is None:
+                    stop = pos + least[i]
+                    bound[letter] = target[pos:stop]
+                    frames.append((pos, stop, budget))
+                    pos = stop
+                    continue
+                stop = pos + len(image)
+                if target[pos:stop] == image:
+                    frames.append(None)
+                    pos = stop
+                    continue
+            while frames:
+                frame = frames.pop()
+                if frame is None:
+                    continue
+                begin, stop, budget = frame
+                i = len(frames)
+                letter = pattern[i]
+                if budget >= cost[i]:
+                    budget -= cost[i]
+                    stop += 1
+                    bound[letter] = target[begin:stop]
+                    frames.append((begin, stop, budget))
+                    pos = stop
+                    break
+                del bound[letter]
+            else:
                 break
-            del bound[letter]
-        else:
-            return
 
 
 def iter_words(alphabet: Sequence[Letter], max_len: int, min_len: int = 0) -> Iterator[Word]:

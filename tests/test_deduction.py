@@ -264,19 +264,20 @@ def test_successors_match_the_per_factor_search(name):
                 == successors_by_factor(w, system, 6)), w
 
 
-def test_successors_search_once_per_start_position(monkeypatch):
+def test_successors_search_once_per_identity_side(monkeypatch):
     calls = []
 
-    def counting(pattern, target, start=0, nonempty=frozenset()):
-        calls.append(start)
-        return iter_matches(pattern, target, start, nonempty)
+    def counting(pattern, target, nonempty=frozenset()):
+        calls.append(pattern)
+        return iter_matches(pattern, target, nonempty)
 
     monkeypatch.setattr(deduction, "iter_matches", counting)
     system = identity_system("phi+")
-    w = pw("xyxzyx")
-    deduction._successors(w, system, 8)
-    # two sides of each of the 5 identities, one run per start 0..6
-    assert len(calls) == 2 * len(system) * (len(w) + 1) == 70
+    deduction._successors(pw("xyxzyx"), system, 8)
+    # one run per side of each of the 5 identities, every start in it
+    assert calls == [side.letters for ident in system
+                     for side in (ident.lhs, ident.rhs)]
+    assert len(calls) == 10
 
 
 def test_successors_skip_the_collapsing_letters_empty_images(monkeypatch):

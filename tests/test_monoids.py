@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from monovar import monoids
 from monovar.catalog import (
     IDENTITY_20,
     ORACLE_WORD_L,
@@ -23,7 +24,15 @@ from monovar.monoids import (
     p1,
     rees_quotient,
 )
-from monovar.words import Identity, L, Word, identity, parse_word
+from monovar.words import (
+    Identity,
+    L,
+    Word,
+    identity,
+    iter_matches,
+    parse_identity,
+    parse_word,
+)
 
 
 def test_fixed_monoids_are_monoids():
@@ -177,6 +186,29 @@ def test_quotients_decide_sigma1_without_brute_force(monkeypatch):
     assert str(decide(parse_variety("L"), SIGMA1)) == holds
     assert str(decide(parse_variety("L~"), SIGMA1)) == holds
     assert semi_decide_d(SIGMA1, k=3) == "unknown"
+
+
+@pytest.mark.parametrize("generators, text", [
+    (("xzxyty",), "xyzxty = yxzxty"),
+    (("xy", "yx"), "xx = xxx"),
+])
+def test_refutes_searches_once_per_side_and_generator(
+        monkeypatch, generators, text):
+    """An identity the quotient satisfies is matched both ways against
+    every generator, one matcher run each, which walks every start."""
+    calls = []
+
+    def counting(pattern, target, nonempty=frozenset()):
+        calls.append((pattern, target))
+        return iter_matches(pattern, target, nonempty)
+
+    monkeypatch.setattr(monoids, "iter_matches", counting)
+    quotient = rees_quotient(*map(parse_word, generators))
+    ident = parse_identity(text)
+    assert not quotient._refutes(ident)
+    assert calls == [(u.letters, w.letters)
+                     for u in (ident.lhs, ident.rhs) for w in quotient.words]
+    assert len(calls) == 2 * len(generators)
 
 
 def test_b21_refutes_both_swap_identities():

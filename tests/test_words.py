@@ -172,11 +172,12 @@ def test_iter_matches_free_end_in_search_order():
     pattern = parse_word("xyx").letters
     target = parse_word("aba").letters
     got = [(stop, {str(l): "".join(map(str, im)) for l, im in xi.items()})
-           for stop, xi in iter_matches(pattern, target, 1)]
+           for start, stop, xi in iter_matches(pattern, target) if start == 1]
     # x and y take their shorter images first, x before y
     assert got == [(1, {"x": "", "y": ""}), (2, {"x": "", "y": "b"}),
                    (3, {"x": "", "y": "ba"})]
-    stops = [stop for stop, _ in iter_matches(pattern, target)]
+    stops = [stop for start, stop, _ in iter_matches(pattern, target)
+             if start == 0]
     assert stops == [0, 1, 2, 3, 3]
 
 
@@ -231,10 +232,19 @@ def reference_matches(pattern, target, start=0, nonempty=frozenset()):
             return
 
 
-def copied(search, pattern, target, start=0, nonempty=frozenset()):
-    """A matcher's (stop, xi) list, each xi copied as it is yielded."""
-    return [(stop, dict(xi))
-            for stop, xi in search(pattern, target, start, nonempty)]
+def stream(pattern, target, nonempty=frozenset()):
+    """iter_matches' (start, stop, xi) list, each xi copied as it is
+    yielded."""
+    return [(start, stop, dict(xi))
+            for start, stop, xi in iter_matches(pattern, target, nonempty)]
+
+
+def reference_stream(pattern, target, nonempty=frozenset()):
+    """The reference search's runs at every start 0..len(target), one
+    after the other, in the same form."""
+    return [(start, stop, dict(xi)) for start in range(len(target) + 1)
+            for stop, xi in reference_matches(pattern, target, start,
+                                              nonempty)]
 
 
 XYZ = [L("x"), L("y"), L("z")]
@@ -244,44 +254,42 @@ XYZT = XYZ + [L("t")]
 @settings(max_examples=500, deadline=None)
 @given(st.lists(st.sampled_from(XYZT), max_size=6),
        st.lists(st.sampled_from(XYZT), max_size=9),
-       st.sets(st.sampled_from(XYZT)), st.data())
-def test_iter_matches_is_the_reference_search(pattern, target, nonempty, data):
-    """The length budget cuts only subtrees without a complete match: the
-    same stops and substitutions, in the same order."""
-    start = data.draw(st.integers(0, len(target)))
+       st.sets(st.sampled_from(XYZT)))
+def test_iter_matches_is_the_reference_search(pattern, target, nonempty):
+    """The length budget cuts only subtrees without a complete match, and
+    the starts it skips hold none: the same starts, stops and
+    substitutions, in the same order."""
     nonempty = frozenset(nonempty)
-    assert (copied(iter_matches, pattern, target, start, nonempty)
-            == copied(reference_matches, pattern, target, start, nonempty))
+    assert (stream(pattern, target, nonempty)
+            == reference_stream(pattern, target, nonempty))
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.sampled_from(XYZ), max_size=5),
        st.lists(st.sampled_from(XYZ), max_size=7),
-       st.sets(st.sampled_from(XYZ)), st.data())
+       st.sets(st.sampled_from(XYZ)))
 def test_pruned_matches_are_the_unpruned_ones_with_nonempty_images(
-        pattern, target, nonempty, data):
+        pattern, target, nonempty):
     """The slow reference for the nonempty argument: the reference
     search's matches without it, in its order, minus those sending a
     letter of nonempty to the empty word."""
-    start = data.draw(st.integers(0, len(target)))
     nonempty = frozenset(nonempty)
-    got = copied(iter_matches, pattern, target, start, nonempty)
-    reference = [(stop, xi)
-                 for stop, xi in copied(reference_matches, pattern, target,
-                                        start)
+    reference = [(start, stop, xi)
+                 for start, stop, xi in reference_stream(pattern, target)
                  if all(xi[l] for l in nonempty & xi.keys())]
-    assert got == reference
+    assert stream(pattern, target, nonempty) == reference
 
 
 def text_matches(pattern, target, start=0, nonempty=""):
-    """iter_matches on parsed words as (stop, {letter: image}) texts,
-    checked against the reference search."""
+    """iter_matches' matches at one start, on parsed words, as (stop,
+    {letter: image}) texts; the whole stream is checked against the
+    reference search."""
     pattern, target = parse_word(pattern).letters, parse_word(target).letters
     nonempty = frozenset(L(c) for c in nonempty)
-    got = copied(iter_matches, pattern, target, start, nonempty)
-    assert got == copied(reference_matches, pattern, target, start, nonempty)
+    got = stream(pattern, target, nonempty)
+    assert got == reference_stream(pattern, target, nonempty)
     return [(stop, {str(l): "".join(map(str, im)) for l, im in xi.items()})
-            for stop, xi in got]
+            for at, stop, xi in got if at == start]
 
 
 def test_iter_matches_budget_boundaries():
@@ -313,7 +321,8 @@ def test_budget_cuts_the_search_steps():
     """Each step of either search reads one pattern position.  Matching
     the left side of sigma1 at every start of xyxzyxzy, skipping the
     collapsing letters' empty images, the budget leaves a fifth of the
-    reference's steps and the same 10 matches."""
+    reference's steps, in one run instead of one per start, and the same
+    10 matches."""
     ident = parse_identity("xyzxty = yxzxty")
     target = parse_word("xyxzyxzy").letters
     nonempty = collapsing_letters(ident)
@@ -326,13 +335,11 @@ def test_budget_cuts_the_search_steps():
                 reads.append(i)
                 return tuple.__getitem__(self, i)
 
-        pattern = Pattern(ident.lhs.letters)
-        found = sum(len(copied(search, pattern, target, start, nonempty))
-                    for start in range(len(target) + 1))
+        found = len(search(Pattern(ident.lhs.letters), target, nonempty))
         return len(reads), found
 
-    assert steps(iter_matches) == (161, 10)
-    assert steps(reference_matches) == (788, 10)
+    assert steps(stream) == (161, 10)
+    assert steps(reference_stream) == (788, 10)
 
 
 @pytest.mark.parametrize("text, letters", [
