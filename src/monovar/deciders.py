@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 import re
+from bisect import bisect_left
 from dataclasses import dataclass, replace
 from functools import lru_cache, partial
 from typing import Callable, NamedTuple, Optional, Union
@@ -121,10 +122,8 @@ def _restrictors(code: str, level: int, which: str,
             return maps
         if depth is None:
             return maps[i]
-        # dividers other than the empty one are first occurrences
-        letters, m = p.word.letters, maps[i]
-        shallow = [letters[q - 1] for q in p.dividers(depth)[1:]]
-        return {x: m[x] for x in shallow if x in m}
+        m = maps[i]
+        return {x: m[x] for x, d in p.depths.items() if d <= depth and x in m}
 
     def differs(pu: Profile, pv: Profile) -> Reason:
         a, b, j = key(pu), key(pv), i
@@ -143,6 +142,16 @@ def _restrictors(code: str, level: int, which: str,
 
 def _h12(level: int) -> Claim:
     return _restrictors(f"h1h2@{level}", level, "both")
+
+
+def _first_split(pu: Profile, pv: Profile) -> Reason:
+    """h1h2 at the first level whose maps differ, found by bisection:
+    maps that agree at a level agree at every level below, so the levels
+    that differ come after those that agree.  The stable maps differ, so
+    the first split lies at or below the later stabilization."""
+    j = bisect_left(range(max(pu.stab, pv.stab)), True,
+                    key=lambda j: pu.restrictors(j) != pv.restrictors(j))
+    return _h12(j).differs(pu, pv)
 
 
 def _order(side: str, order: Callable[[Profile], tuple[Letter, ...]]) -> Claim:
@@ -263,9 +272,7 @@ _TABLE: dict[str, Family] = {
     "J": Family(1, lambda v: (Variety("I", k=v.k), _restrictors(
         f"h2-depth@{v.k}:{v.m}", v.k, "second", depth=v.m))),
     "K": Family(None, lambda v: (_C2, Claim(
-        "h1h2", lambda p: p.restrictors(p.stab),
-        lambda pu, pv: next(c for c in map(_h12, itertools.count())
-                            if c.key(pu) != c.key(pv)).differs(pu, pv),
+        "h1h2", lambda p: p.restrictors(p.stab), _first_split,
         lambda pu, pv: [Reason(f"h1h2@{j}", "agrees on both sides")
                         for j in range(max(pu.stab, pv.stab) + 1)]))),
     "LRB": Family(None, lambda v: (None, _order("first", lambda p: p.ini))),

@@ -5,12 +5,15 @@ appears exactly once.  Level k+1 refines level k: inside each block, every
 letter that occurs exactly once in the block and nowhere to the left of the
 block becomes a new divider.  Divider positions stabilise after at most
 len(word) rounds.
+
+Dividers only grow from level to level, so every position has a birth
+level, the least level at which it is a divider.  A profile finds all
+birth levels in one pass and reads each level it needs off them.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Optional
@@ -26,9 +29,10 @@ LAMBDA = "λ"
 class Profile:
     """Cached per-word decomposition data shared by the deciders.
 
-    Letter classes are read when the profile is made.  Levels, the
-    skeleton, depths and the restrictor maps of each level are computed on
-    first use and then kept.
+    Letter classes are read when the profile is made.  The birth levels,
+    the skeleton and depths are computed on first use and then kept, as
+    are the restrictor maps of each level read and, for restrictor, each
+    level's row of every position's restrictor.
     """
 
     def __init__(self, word: Word):
@@ -41,33 +45,32 @@ class Profile:
         self.sim = frozenset(l for l, pos in self.positions.items()
                              if len(pos) == 1)
         self.mul = self.con - self.sim
+        self._rows: dict[int, list] = {}
+        self._maps: dict[int, tuple[dict, dict]] = {}
 
     @cached_property
-    def levels(self) -> list[tuple[int, ...]]:
-        """Divider sets of levels 0 .. stab.
+    def born(self) -> list[float]:
+        """Birth level of positions 0 .. len(word): the least level at
+        which the position is a divider, inf if it never is.
 
-        Level k+1 cuts out of its k-block every letter occurring once in
-        the block and nowhere to its left, that is, every first occurrence
-        whose second occurrence lies past the next k-divider.  So each
-        level is one scan of the repeated letters' first two occurrences.
+        Position 0 and the letters occurring once are born at level 0, and
+        a later occurrence never is.  A first occurrence becomes a divider
+        at level k+1 once a k-divider lies strictly between it and its
+        second occurrence, so it is born at 1 + the least birth level
+        there.  Those positions lie to its right, so one right-to-left
+        pass over the first occurrences fills in every birth level.
         """
-        levels = [tuple(sorted([0] + [pos[0] for pos in self.positions.values()
-                                      if len(pos) == 1]))]
-        spans = [(pos[0], pos[1]) for pos in self.positions.values()
-                 if len(pos) > 1]
-        while True:
-            at = levels[-1]
-            ends = at + (len(self.word) + 1,)   # the last block's end
-            nxt = tuple(sorted(set(at).union(
-                first for first, second in spans
-                if ends[bisect_right(at, first)] < second)))
-            if nxt == at:
-                return levels
-            levels.append(nxt)
+        born = [math.inf] * (len(self.word) + 1)
+        born[0] = 0
+        for pos in reversed(self.positions.values()):
+            born[pos[0]] = 0 if len(pos) == 1 else \
+                1 + min(born[pos[0] + 1:pos[1]], default=math.inf)
+        return born
 
     @cached_property
     def stab(self) -> int:
-        return len(self.levels) - 1
+        """The last level at which a position is born."""
+        return max(b for b in self.born if b != math.inf)
 
     @cached_property
     def skeleton(self) -> Word:
@@ -76,42 +79,39 @@ class Profile:
 
     @cached_property
     def depths(self) -> dict[Letter, float]:
-        """Depth of every letter, in first-occurrence order: 1 + the first
-        level with a divider at or after the first occurrence and before
-        the second, which is the level at which the first occurrence
-        becomes a divider; 0 for a letter occurring once."""
-        born: dict[int, int] = {}
-        for lvl, dividers in enumerate(self.levels):
-            for p in dividers:
-                born.setdefault(p, lvl)
-        return {l: 0 if len(pos) == 1 else born.get(pos[0], math.inf)
-                for l, pos in self.positions.items()}
+        """Depth of every letter, in first-occurrence order: the birth
+        level of its first occurrence, that is, 1 + the first level with
+        a divider at or after the first occurrence and before the second;
+        0 for a letter occurring once."""
+        return {l: self.born[pos[0]] for l, pos in self.positions.items()}
 
-    @cached_property
-    def _maps(self) -> list:
-        return [None] * (self.stab + 1)
+    def _row(self, k: int) -> list:
+        """The restrictor of every position at level k, from one
+        left-to-right pass that tracks the last position born at a level
+        at most k."""
+        row, last = [None], None
+        for letter, b in zip(self.word.letters, self.born[1:]):
+            row.append(last)
+            if b <= k:
+                last = letter
+        return row
 
     def restrictors(self, k: int) -> tuple[dict, dict]:
         """First- and second-occurrence restrictor maps at level k: every
         letter, resp. every repeated letter, to its restrictor."""
-        if k > self.stab:
-            k = self.stab
-        maps = self._maps[k]
+        k = min(k, self.stab)
+        maps = self._maps.get(k)
         if maps is None:
-            at, items = self.levels[k], self.positions.items()
+            row, items = self._row(k), self.positions.items()
             maps = self._maps[k] = (
-                {l: self._before(pos[0], at) for l, pos in items},
-                {l: self._before(pos[1], at) for l, pos in items if len(pos) > 1})
+                {l: row[pos[0]] for l, pos in items},
+                {l: row[pos[1]] for l, pos in items if len(pos) > 1})
         return maps
 
     def dividers(self, k: int) -> tuple[int, ...]:
         if k < 0:
             raise ValueError("decomposition level must be >= 0")
-        return self.levels[min(k, self.stab)]
-
-    def _before(self, q: int, dividers: tuple[int, ...]) -> Optional[Letter]:
-        best = dividers[bisect_left(dividers, q) - 1]
-        return None if best == 0 else self.word.letters[best - 1]
+        return tuple(p for p, b in enumerate(self.born) if b <= k)
 
     def restrictor(self, letter: Letter, i: int, k: int) -> Optional[Letter]:
         """Rightmost k-divider strictly left of the i-th occurrence.
@@ -121,7 +121,13 @@ class Profile:
         pos = self.positions.get(letter)
         if pos is None or i < 1 or i > len(pos):
             raise ValueError(f"{self.word} has no occurrence {i} of {letter}")
-        return self._before(pos[i - 1], self.dividers(k))
+        if k < 0:
+            raise ValueError("decomposition level must be >= 0")
+        k = min(k, self.stab)
+        row = self._rows.get(k)
+        if row is None:
+            row = self._rows[k] = self._row(k)
+        return row[pos[i - 1]]
 
     def depth(self, letter: Letter) -> float:
         """Least k such that the first two occurrences fall into different

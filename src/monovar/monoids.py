@@ -200,11 +200,14 @@ class ReesQuotient(Monoid):
                         nonempty: frozenset[Letter]) -> bool:
         """Whether some substitution, with nonempty images for the letters
         of nonempty, maps u onto a factor of a generator and v onto a
-        different word: one matcher run per generator, over every start."""
+        different word: one matcher run per generator, over every start.
+        An empty factor sends every letter of u, so also of v, which has
+        the same content, to the empty word, and never refutes."""
         for w in self.words:
             target = w.letters
             for start, stop, xi in iter_matches(u.letters, target, nonempty):
-                if image_letters(v.letters, xi) != target[start:stop]:
+                if stop > start and \
+                        image_letters(v.letters, xi) != target[start:stop]:
                     return True
         return False
 

@@ -251,19 +251,41 @@ def reference_k(probe: Identity) -> str:
 
 def test_k_matches_its_level_by_level_reference():
     """Every ordered pair of words over {x, y, z} up to length 5 with equal
-    letter classes, and the catalog identities up to k = 12 in both
-    orientations, get the reference's verdict and reasons."""
+    letter classes, alpha, beta and gamma up to k = 12 and delta up to
+    k = 40, in both orientations, get the reference's verdict and
+    reasons.  K refutes every delta(k, m) at a level from 1 to 40, so its
+    bisection meets a first split at each of them."""
     words = list(iter_words(tuple(Letter(b) for b in "xyz"), 5))
     classes = {u: (profile(u).sim, profile(u).mul) for u in words}
     probes = [Identity(u, w) for u in words for w in words
               if classes[u] == classes[w]]
     assert len(probes) == 8764
-    for k in range(1, 13):
-        for witness in (alpha(k), beta(k), gamma(k),
-                        *(delta(k, m) for m in range(1, k + 1))):
-            probes += [witness, Identity(witness.rhs, witness.lhs)]
+    witnesses = [w for k in range(1, 13) for w in (alpha(k), beta(k), gamma(k))]
+    deltas = [delta(k, m) for k in range(1, 41) for m in range(1, k + 1)]
+    assert len(deltas) == 820
+    for witness in witnesses + deltas:
+        probes += [witness, Identity(witness.rhs, witness.lhs)]
     for probe in probes:
         assert str(decide(V("K"), probe)) == reference_k(probe), str(probe)
+    levels = {decide(V("K"), d).reasons[0].level for d in deltas}
+    assert levels == set(range(1, 41))
+
+
+@pytest.mark.parametrize("name, built", [
+    ("E", 1), ("F2", 1), ("J3.3", 2), ("K", 8)])
+def test_deep_decides_build_only_the_levels_they_read(name, built):
+    """From a cleared cache, a claim decide on delta(90, 45) builds the
+    restrictor maps of the levels its claims read, one for E and F2 and
+    two for J3.3, which accept it, and K, which refutes it at level 90,
+    bisects to that first split in at most eight levels per side."""
+    probe = delta(90, 45)
+    profile.cache_clear()
+    assert decide(V(name), probe).holds is (name != "K")
+    counts = [len(profile(side)._maps) for side in (probe.lhs, probe.rhs)]
+    if name == "K":
+        assert max(counts) <= built, counts
+    else:
+        assert counts == [built, built]
 
 
 # ---------------------------------------------------------------- decide: oracles

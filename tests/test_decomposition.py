@@ -1,10 +1,11 @@
+import itertools
 import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from monovar.decomposition import Profile, decompose, profile, render_depths
-from monovar.catalog import delta
+from monovar.catalog import delta, w_family, w_family_split
 from monovar.words import EMPTY, L, Word, iter_words, parse_word
 
 W = parse_word("xyxzytszxs")
@@ -149,16 +150,25 @@ def depth_by_definition(word, levels, letter):
 
 
 def test_levels_and_depths_match_the_definition():
+    """Birth levels give the definition's dividers at every level, up to
+    one past stabilization, on all short words over {x, y, z}, the delta
+    words up to k = 24 and some deep ones, and w-family words."""
     words = list(iter_words((L("x"), L("y"), L("z")), 7))
     assert len(words) == 3280
-    for n in range(1, 25):
-        for m in range(1, n + 1):
-            words += [delta(n, m).lhs, delta(n, m).rhs]
+    deltas = [(n, m) for n in range(1, 25) for m in range(1, n + 1)]
+    for n, m in deltas + [(90, 1), (90, 45), (90, 90), (120, 120)]:
+        words += [delta(n, m).lhs, delta(n, m).rhs]
+    for n in range(1, 5):
+        for pi in itertools.permutations(range(1, n + 1)):
+            words += [w_family(n, pi=pi, tau=pi[::-1]),
+                      w_family_split(n, 0, 0, tau=pi),
+                      w_family_split(n, n // 2, n, pi=pi)]
     for w in words:
         prof = Profile(w)
         levels = levels_by_definition(w)
-        assert prof.levels == levels, w
         assert prof.stab == len(levels) - 1, w
+        assert [prof.dividers(k) for k in range(prof.stab + 2)] == \
+            levels + levels[-1:], w
         assert list(prof.depths.items()) == [
             (l, depth_by_definition(w, levels, l))
             for l in dict.fromkeys(w.letters)], w

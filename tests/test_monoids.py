@@ -28,7 +28,9 @@ from monovar.words import (
     Identity,
     L,
     Word,
+    collapsing_letters,
     identity,
+    image_letters,
     iter_matches,
     parse_identity,
     parse_word,
@@ -209,6 +211,32 @@ def test_refutes_searches_once_per_side_and_generator(
     assert calls == [(u.letters, w.letters)
                      for u in (ident.lhs, ident.rhs) for w in quotient.words]
     assert len(calls) == 2 * len(generators)
+
+
+@pytest.mark.parametrize("generator, text, matches, factors", [
+    ("xzxyty", "xxyyz = zyyxx", 56, 42),
+    ("xy", "x^2y^2 = x^3y^3", 6, 0),
+])
+def test_moves_a_factor_skips_empty_factors(
+        monkeypatch, generator, text, matches, factors):
+    """A match onto an empty factor sends every letter to the empty word
+    on both sides, so the other side's image is built only for the
+    matches onto nonempty factors."""
+    calls = []
+
+    def counting(letters, xi):
+        calls.append(xi)
+        return image_letters(letters, xi)
+
+    monkeypatch.setattr(monoids, "image_letters", counting)
+    quotient = rees_quotient(parse_word(generator))
+    ident = parse_identity(text)
+    assert not collapsing_letters(ident) and not quotient._refutes(ident)
+    found = [(start, stop) for side in (ident.lhs, ident.rhs)
+             for start, stop, _ in iter_matches(side.letters,
+                                                quotient.words[0].letters)]
+    assert len(found) == matches
+    assert len(calls) == sum(stop > start for start, stop in found) == factors
 
 
 def test_b21_refutes_both_swap_identities():
