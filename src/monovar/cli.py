@@ -14,7 +14,7 @@ from typing import Optional
 
 from .catalog import identity_system
 from .deciders import decide, parse_variety, semi_decide_d, verify_chain
-from .decomposition import decompose, profile, render_depths
+from .decomposition import LAMBDA, decompose, profile, render_depths
 from .deduction import (
     bounded_derive,
     check_deduction,
@@ -61,7 +61,8 @@ def cmd_restrictors(args: argparse.Namespace) -> int:
     rows = [["letter", "occ"] + [f"k={k}" for k in levels]]
     for letter in prof.ini:
         for i in range(1, len(prof.positions[letter]) + 1):
-            cells = [str(prof.restrictor(letter, i, k) or "λ") for k in levels]
+            cells = [str(prof.restrictor(letter, i, k) or LAMBDA)
+                     for k in levels]
             rows.append([str(letter), str(i)] + cells)
     widths = [max(len(row[c]) for row in rows) for c in range(len(rows[0]))]
     lines = [SCHEMA, f"restrictors of {w} (stabilizes at k={prof.stab})"]

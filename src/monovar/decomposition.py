@@ -30,9 +30,10 @@ class Profile:
     """Cached per-word decomposition data shared by the deciders.
 
     Letter classes are read when the profile is made.  The birth levels,
-    the skeleton and depths are computed on first use and then kept, as
-    are the restrictor maps of each level read and, for restrictor, each
-    level's row of every position's restrictor.
+    the skeleton and depths are computed on first use and then kept.  So
+    is one entry per level read: the row of every position's restrictor,
+    which restrictor reads, and the first- and second-occurrence maps,
+    which restrictors reads, both from the same pass.
     """
 
     def __init__(self, word: Word):
@@ -45,8 +46,7 @@ class Profile:
         self.sim = frozenset(l for l, pos in self.positions.items()
                              if len(pos) == 1)
         self.mul = self.con - self.sim
-        self._rows: dict[int, list] = {}
-        self._maps: dict[int, tuple[dict, dict]] = {}
+        self._levels: dict[int, tuple[list, tuple[dict, dict]]] = {}
 
     @cached_property
     def born(self) -> list[float]:
@@ -85,28 +85,31 @@ class Profile:
         0 for a letter occurring once."""
         return {l: self.born[pos[0]] for l, pos in self.positions.items()}
 
-    def _row(self, k: int) -> list:
-        """The restrictor of every position at level k, from one
-        left-to-right pass that tracks the last position born at a level
-        at most k."""
-        row, last = [None], None
-        for letter, b in zip(self.word.letters, self.born[1:]):
-            row.append(last)
-            if b <= k:
-                last = letter
-        return row
+    def _level(self, k: int) -> tuple[list, tuple[dict, dict]]:
+        """Level k's row of every position's restrictor and its first- and
+        second-occurrence restrictor maps, from one left-to-right pass that
+        tracks the last position born at a level at most k.  Levels past
+        stab are stab's."""
+        if k < 0:
+            raise ValueError("decomposition level must be >= 0")
+        k = min(k, self.stab)
+        level = self._levels.get(k)
+        if level is None:
+            row, last = [None], None
+            for letter, b in zip(self.word.letters, self.born[1:]):
+                row.append(last)
+                if b <= k:
+                    last = letter
+            items = self.positions.items()
+            level = self._levels[k] = (row, (
+                {l: row[pos[0]] for l, pos in items},
+                {l: row[pos[1]] for l, pos in items if len(pos) > 1}))
+        return level
 
     def restrictors(self, k: int) -> tuple[dict, dict]:
         """First- and second-occurrence restrictor maps at level k: every
         letter, resp. every repeated letter, to its restrictor."""
-        k = min(k, self.stab)
-        maps = self._maps.get(k)
-        if maps is None:
-            row, items = self._row(k), self.positions.items()
-            maps = self._maps[k] = (
-                {l: row[pos[0]] for l, pos in items},
-                {l: row[pos[1]] for l, pos in items if len(pos) > 1})
-        return maps
+        return self._level(k)[1]
 
     def dividers(self, k: int) -> tuple[int, ...]:
         if k < 0:
@@ -121,13 +124,7 @@ class Profile:
         pos = self.positions.get(letter)
         if pos is None or i < 1 or i > len(pos):
             raise ValueError(f"{self.word} has no occurrence {i} of {letter}")
-        if k < 0:
-            raise ValueError("decomposition level must be >= 0")
-        k = min(k, self.stab)
-        row = self._rows.get(k)
-        if row is None:
-            row = self._rows[k] = self._row(k)
-        return row[pos[i - 1]]
+        return self._level(k)[0][pos[i - 1]]
 
     def depth(self, letter: Letter) -> float:
         """Least k such that the first two occurrences fall into different

@@ -275,17 +275,26 @@ def test_k_matches_its_level_by_level_reference():
     ("E", 1), ("F2", 1), ("J3.3", 2), ("K", 8)])
 def test_deep_decides_build_only_the_levels_they_read(name, built):
     """From a cleared cache, a claim decide on delta(90, 45) builds the
-    restrictor maps of the levels its claims read, one for E and F2 and
-    two for J3.3, which accept it, and K, which refutes it at level 90,
-    bisects to that first split in at most eight levels per side."""
+    levels its claims read, one for E and F2 and two for J3.3, which
+    accept it, and K, which refutes it at level 90, bisects to that first
+    split in at most eight levels per side.  Every restrictor at those
+    levels is then read from the same entries."""
     probe = delta(90, 45)
     profile.cache_clear()
     assert decide(V(name), probe).holds is (name != "K")
-    counts = [len(profile(side)._maps) for side in (probe.lhs, probe.rhs)]
+    profiles = [profile(side) for side in (probe.lhs, probe.rhs)]
+    levels = [set(p._levels) for p in profiles]
+    counts = list(map(len, levels))
     if name == "K":
         assert max(counts) <= built, counts
     else:
         assert counts == [built, built]
+    for p, read in zip(profiles, levels):
+        for k in read:
+            for letter, pos in p.positions.items():
+                for i in range(1, len(pos) + 1):
+                    p.restrictor(letter, i, k)
+        assert set(p._levels) == read
 
 
 # ---------------------------------------------------------------- decide: oracles
@@ -670,7 +679,7 @@ def test_chain_acceptance_survives_multiplication():
 
 
 @pytest.mark.parametrize("name", ["K", "LRB", "RRB", "C3", "D2", "D3", "D4",
-                                  "L", "M"])
+                                  "D5", "L", "M"])
 def test_decided_acceptance_survives_multiplication(name):
     """The same for the varieties decided outside the chain, through
     decide: an accepted u = w over {x, y} up to length 4 stays accepted
@@ -711,7 +720,8 @@ def test_acceptance_survives_substitution():
             for image in images_of(probe):
                 assert all(b <= a for b, a in zip(bits(probe), bits(image))), \
                     (str(probe), str(image))
-    for v in map(V, ("K", "LRB", "RRB", "C3", "D2", "D3", "D4", "L", "M")):
+    for v in map(V, ("K", "LRB", "RRB", "C3", "D2", "D3", "D4", "D5", "L",
+                     "M")):
         accepted = [probe for probe in pairs if decide(v, probe).holds]
         assert accepted, v.name
         for image in set().union(*map(images_of, accepted)):

@@ -1,5 +1,6 @@
 import itertools
 import math
+from bisect import bisect_left
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -73,6 +74,16 @@ def test_restrictor_rejects_missing_occurrence():
         profile(W).restrictor(L("q"), 1, 0)
 
 
+def test_restrictors_reject_a_negative_level():
+    """Both restrictor readers refuse level -1 and cache nothing for it."""
+    prof = Profile(W)
+    with pytest.raises(ValueError):
+        prof.restrictors(-1)
+    with pytest.raises(ValueError):
+        prof.restrictor(L("x"), 1, -1)
+    assert not prof._levels
+
+
 def test_depth_profile_of_running_example():
     prof = profile(W).depth_profile()
     assert prof[L("x")] == 3
@@ -109,7 +120,7 @@ def refine_by_definition(word, dividers):
     """Inside each block, every letter occurring once in the block and
     nowhere to the left of it becomes a divider.  Each block's left set
     and letter counts are rebuilt from scratch."""
-    n = len(word)
+    n, letters = len(word), word.letters
     out = list(dividers)
     bounds = list(dividers) + [n + 1]
     for j in range(len(dividers)):
@@ -117,11 +128,11 @@ def refine_by_definition(word, dividers):
         # block occupies positions lo+1 .. hi-1
         counts = {}
         for p in range(lo + 1, hi):
-            letter = word[p - 1]
+            letter = letters[p - 1]
             counts[letter] = counts.get(letter, 0) + 1
-        left = {word[p - 1] for p in range(1, lo + 1)}
+        left = set(letters[:lo])
         for p in range(lo + 1, hi):
-            letter = word[p - 1]
+            letter = letters[p - 1]
             if counts[letter] == 1 and letter not in left:
                 out.append(p)
     return tuple(sorted(out))
@@ -149,10 +160,18 @@ def depth_by_definition(word, levels, letter):
     return math.inf
 
 
+def restrictor_by_definition(word, dividers, p):
+    """The letter of the rightmost divider strictly left of position p,
+    None for the empty divider."""
+    left = dividers[bisect_left(dividers, p) - 1]
+    return word[left - 1] if left else None
+
+
 def test_levels_and_depths_match_the_definition():
-    """Birth levels give the definition's dividers at every level, up to
-    one past stabilization, on all short words over {x, y, z}, the delta
-    words up to k = 24 and some deep ones, and w-family words."""
+    """Birth levels give the definition's dividers, and every occurrence
+    the definition's restrictor, at every level up to one past
+    stabilization, on all short words over {x, y, z}, the delta words up
+    to k = 24 and some deep ones, and w-family words."""
     words = list(iter_words((L("x"), L("y"), L("z")), 7))
     assert len(words) == 3280
     deltas = [(n, m) for n in range(1, 25) for m in range(1, n + 1)]
@@ -167,8 +186,15 @@ def test_levels_and_depths_match_the_definition():
         prof = Profile(w)
         levels = levels_by_definition(w)
         assert prof.stab == len(levels) - 1, w
+        past_stab = levels + levels[-1:]
         assert [prof.dividers(k) for k in range(prof.stab + 2)] == \
-            levels + levels[-1:], w
+            past_stab, w
+        for k, dividers in enumerate(past_stab):
+            for letter, pos in prof.positions.items():
+                assert [prof.restrictor(letter, i, k)
+                        for i in range(1, len(pos) + 1)] == \
+                    [restrictor_by_definition(w, dividers, p) for p in pos], \
+                    (w, letter, k)
         assert list(prof.depths.items()) == [
             (l, depth_by_definition(w, levels, l))
             for l in dict.fromkeys(w.letters)], w
