@@ -5,7 +5,7 @@ from __future__ import annotations
 import re
 from typing import Optional, Sequence
 
-from .words import Identity, Letter, Word, identity, parse_word
+from .words import MAX_WORD_LENGTH, Identity, Letter, Word, identity, parse_word
 
 
 def _x(i: int) -> Letter:
@@ -14,6 +14,13 @@ def _x(i: int) -> Letter:
 
 def _y(i: int) -> Letter:
     return Letter("y", i)
+
+
+def _check_length(name: str, length: int) -> None:
+    """Refuse, before it is built, a word longer than parse_word accepts."""
+    if length > MAX_WORD_LENGTH:
+        raise ValueError(f"{name} has {length} letters, more than the "
+                         f"{MAX_WORD_LENGTH} a word may have")
 
 
 def b_word(s: int, q: int = 1) -> Word:
@@ -25,6 +32,7 @@ def b_word(s: int, q: int = 1) -> Word:
         return Word()
     if not 1 <= q <= s:
         raise ValueError("need 1 <= q <= s")
+    _check_length(f"b({s},{q})", 2 * (s - q + 1))
     letters: list[Letter] = []
     for j in range(s, q - 1, -1):
         letters.extend([_x(j - 1), _x(j)])
@@ -210,6 +218,7 @@ def c_oracle_word(n: int) -> Word:
     """x^(n-1) decides the n-th bounded-occurrence variety."""
     if n < 2:
         raise ValueError("n must be >= 2")
+    _check_length(f"the oracle word of C{n}", n - 1)
     return Word([Letter("x")] * (n - 1))
 
 
@@ -219,6 +228,7 @@ def d_oracle_word(k: int) -> Word:
         raise ValueError("k must be >= 1")
     if k == 1:
         return parse_word("xy")
+    _check_length(f"the oracle word of D{k}", 2 * k - 1)
     x = Letter("x")
     letters = [x]
     for j in range(1, k):

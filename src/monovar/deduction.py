@@ -24,6 +24,7 @@ from .words import (
     iter_matches,
     letter_key,
     parse_word,
+    shortlex_key,
     substitute,
 )
 
@@ -205,36 +206,29 @@ def format_deduction(d: Deduction) -> str:
 # ------------------------------------------------------- derivation search
 
 
-def _successors(w: Word, system: Sequence[Identity], max_len: int):
-    """Deterministic list of (next word, step) one application away.
+def _successors(letters: tuple[Letter, ...], system: Sequence[Identity],
+                max_len: int) -> dict[tuple[Letter, ...], tuple]:
+    """Every letter tuple one application away from letters, mapped to
+    its first application (identity, i, j, xi); no Word or step is built.
 
-    One matcher run per identity side yields every factor w[i:j] it
-    matches; a stable sort by (i, j) visits them in the order of a loop
-    over i, then j.  The matcher never maps a collapsing letter of the
-    identity to the empty word, since those matches give back w.  Each
-    candidate is a letter tuple, checked against the words already found
-    before its Word, substitution and step are built.
+    One matcher run per identity side yields every factor letters[i:j]
+    it matches; a stable sort by (i, j) visits them in the order of a
+    loop over i, then j, which decides the application recorded.  The
+    matcher never maps a collapsing letter of the identity to the empty
+    word, since those matches give back letters.
     """
-    letters = w.letters
-    seen: dict[tuple[Letter, ...], RewriteStep] = {}
+    found: dict[tuple[Letter, ...], tuple] = {}
     for ident in system:
-        sides = (ident.lhs, ident.rhs)
         nonempty = collapsing_letters(ident)
-        code = code_of(ident)
-        for source, target in (sides, sides[::-1]):
-            found = []
+        for source, target in ((ident.lhs, ident.rhs), (ident.rhs, ident.lhs)):
+            matches = []
             for i, j, xi in iter_matches(source.letters, letters, nonempty):
                 nxt = letters[:i] + image_letters(target.letters, xi) + letters[j:]
-                if nxt != letters and len(nxt) <= max_len and nxt not in seen:
-                    found.append((i, j, nxt, dict(xi)))
-            found.sort(key=lambda match: match[:2])
-            for i, j, nxt, xi in found:
-                if nxt not in seen:
-                    seen[nxt] = step(
-                        ident, {l: Word(image) for l, image in xi.items()},
-                        w[:i], w[j:], code)
-    return sorted(((Word(nxt), st) for nxt, st in seen.items()),
-                  key=lambda item: item[0].sort_key())
+                if nxt != letters and len(nxt) <= max_len and nxt not in found:
+                    matches.append((i, j, nxt, dict(xi)))
+            for i, j, nxt, xi in sorted(matches, key=lambda m: m[:2]):
+                found.setdefault(nxt, (ident, i, j, xi))
+    return found
 
 
 # bounded_derive refuses a search whose words could number more than
@@ -258,6 +252,10 @@ def bounded_derive(
     a system identity only, so the search visits at most sum(k**n for n
     up to max_len) words over those k letters.  Raises ValueError when
     that exceeds MAX_DERIVE_WORDS.
+
+    One trail keyed by letter tuples records the visit: each word reached
+    maps to the word that first reached it and the application, the start
+    to None.  Each frontier is sorted once, in Word.sort_key's order.
     """
     if max_len < 1 or max_steps < 1:
         raise ValueError("bounds must be positive")
@@ -271,39 +269,39 @@ def bounded_derive(
     if words > MAX_DERIVE_WORDS:
         raise ValueError(f"a search over {k} letters up to length {max_len} "
                          f"may visit more than {MAX_DERIVE_WORDS:.0e} words")
-    start, target = goal.lhs, goal.rhs
-    if start == target:
-        return Deduction((start,))
+    if goal.lhs == goal.rhs:
+        return Deduction((goal.lhs,))
+    start, target = goal.lhs.letters, goal.rhs.letters
     if len(start) > max_len or len(target) > max_len:
         return None
-    trail: dict[Word, tuple[Word, RewriteStep]] = {}
+    trail: dict[tuple[Letter, ...], Optional[tuple]] = {start: None}
     frontier = [start]
-    visited = {start}
     for _ in range(max_steps):
-        next_frontier: list[Word] = []
+        next_frontier = []
         for cur in frontier:
-            for nxt, st in _successors(cur, system, max_len):
-                if nxt in visited:
+            for nxt, application in _successors(cur, system, max_len).items():
+                if nxt in trail:
                     continue
-                visited.add(nxt)
-                trail[nxt] = (cur, st)
+                trail[nxt] = (cur, application)
                 if nxt == target:
-                    return _rebuild(start, target, trail)
+                    return _rebuild(target, trail)
                 next_frontier.append(nxt)
         if not next_frontier:
             return None
-        frontier = sorted(next_frontier, key=Word.sort_key)
+        frontier = sorted(next_frontier, key=shortlex_key)
     return None
 
 
-def _rebuild(start: Word, end: Word,
-             trail: Mapping[Word, tuple[Word, RewriteStep]]) -> Deduction:
-    words = [end]
+def _rebuild(end: tuple[Letter, ...], trail: Mapping) -> Deduction:
+    """The deduction from the trail's start, the letters mapped to None,
+    to end: the one place the search builds Words and steps."""
+    words = [Word(end)]
     steps: list[RewriteStep] = []
-    while words[-1] != start:
-        prev, st = trail[words[-1]]
-        steps.append(st)
-        words.append(prev)
+    while trail[end] is not None:
+        end, (ident, i, j, xi) = trail[end]
+        steps.append(step(ident, {l: Word(image) for l, image in xi.items()},
+                          Word(end[:i]), Word(end[j:])))
+        words.append(Word(end))
     return Deduction(tuple(reversed(words)), tuple(reversed(steps)))
 
 

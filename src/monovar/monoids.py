@@ -21,7 +21,13 @@ from .words import (
 
 # _first_violation refuses a search of more assignments than this: 21**5
 # (L or M with five letters), 43**4 (D5) and 5**10 (K5) stay within it.
+# Monoid.check refuses more than this many products, n**3 for n elements.
 MAX_ASSIGNMENTS = 10**7
+
+# ReesQuotient refuses generators with more factors than this in all,
+# counted with repeats, which bounds its elements: D5's word has 45 (43
+# elements), and about 1,000 take about a second to build.
+MAX_FACTORS = 1_000
 
 
 class Monoid:
@@ -47,8 +53,12 @@ class Monoid:
         return self.table[i][j]
 
     def check(self) -> None:
-        """Assert associativity and the identity laws."""
+        """Assert associativity and the identity laws.  Raises ValueError
+        when the n**3 products number more than MAX_ASSIGNMENTS."""
         n = len(self)
+        if n ** 3 > MAX_ASSIGNMENTS:
+            raise ValueError(f"checking {self.name} takes {n}**3 products; "
+                             f"the bound is {MAX_ASSIGNMENTS:.0e}")
         for i in range(n):
             assert self.mul(0, i) == i and self.mul(i, 0) == i
         for i in range(n):
@@ -136,6 +146,10 @@ class ReesQuotient(Monoid):
 
     def __init__(self, *ws: Word):
         assert ws, "at least one generator word required"
+        factors = sum(len(w) * (len(w) + 1) // 2 for w in ws)
+        if factors > MAX_FACTORS:
+            raise ValueError(f"generators of {factors} factors in all give a "
+                             f"Rees quotient past the bound of {MAX_FACTORS}")
         subwords: set[Word] = set()
         for w in ws:
             n = len(w)

@@ -28,6 +28,11 @@ def letter_key(letter: Letter) -> tuple[str, int]:
     return (letter.base, -1 if letter.index is None else letter.index)
 
 
+def shortlex_key(letters: Sequence[Letter]):
+    """Order letter sequences by length, then letter by letter."""
+    return (len(letters), tuple(letter_key(l) for l in letters))
+
+
 def L(text: str) -> Letter:
     """Shorthand letter constructor, e.g. L("x2")."""
     m = re.fullmatch(r"([a-z])(\d*)", text)
@@ -91,7 +96,7 @@ class Word:
         return self.sort_key() < other.sort_key()
 
     def sort_key(self):
-        return (len(self.letters), tuple(letter_key(l) for l in self.letters))
+        return shortlex_key(self.letters)
 
     # containment and occurrence counts
 

@@ -102,6 +102,21 @@ def test_oracle_words():
     assert d_oracle_word(3) == parse_word("xy1xy2x")
 
 
+def test_catalog_words_keep_the_word_length_bound():
+    # 10,000 letters build; one more letter or pair is refused unbuilt
+    assert len(c_oracle_word(10_001)) == len(b_word(5000)) == 10_000
+    assert len(b_word(5010, 11)) == len(d_oracle_word(5000)) + 1 == 10_000
+    for make in (lambda: c_oracle_word(10_002), lambda: d_oracle_word(5001),
+                 lambda: b_word(5001), lambda: b_word(5011, 11),
+                 lambda: coded_identity("alpha:5002"),
+                 lambda: coded_identity("delta:5001.1"),
+                 lambda: jkk_basis(10**9)):
+        with pytest.raises(ValueError, match="more than the 10000 a word"):
+            make()
+    # the longest catalog word in use
+    assert len(delta(120, 120).lhs) == 245
+
+
 # Expected k-decompositions of both sides of the four identity series.
 # Dividers and blocks follow a fixed pattern in k and m.
 

@@ -212,6 +212,43 @@ def test_brute_force_refuses_a_search_past_its_bound(capsys, argv):
     assert "assignments; the bound is 1e+07" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("decide", "--variety", "C100000", "--identity", "xx = xxx"),
+     "the oracle word of C100000 has 99999 letters"),
+    (("decide", "--variety", "D100000000", "--identity", "xy = yx"),
+     "the oracle word of D100000000 has 199999999 letters"),
+    (("deduce", "--file", "{file}"), "b(99999999,1) has 199999998 letters"),
+], ids=["c-oracle", "d-oracle", "b-word"])
+def test_catalog_words_past_the_length_bound_are_refused(
+        capsys, tmp_path, argv, message):
+    # the length is worked out before the word is built
+    path = tmp_path / "alpha.txt"
+    path.write_text("x\n# id=alpha:100000000 xi= a=1 b=1\ny\n")
+    started = time.perf_counter()
+    code, out, err = run(capsys, *(a.format(file=path) for a in argv))
+    assert time.perf_counter() - started < 1.0
+    assert code == 2 and out == ""
+    assert f"error: {message}, more than the 10000 a word may have" in err
+
+
+@pytest.mark.parametrize("argv, factors", [
+    (("monoid", "build", "--monoid", "S(x^2000)"), 2001000),
+    (("monoid", "check", "--monoid", "S(x^1500)", "--identity", "xx = xxx"),
+     1125750),
+    (("isoterm", "--word", "xy", "--monoid", "S(x^800)"), 320400),
+    (("decide", "--variety", "D60", "--identity", "xy = yx"), 7140),
+], ids=["build", "check", "isoterm", "decide"])
+def test_rees_quotients_past_the_factor_bound_are_refused(
+        capsys, argv, factors):
+    # the factors are counted before any subword is taken
+    started = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - started < 1.0
+    assert code == 2 and out == ""
+    assert (f"error: generators of {factors} factors in all give a Rees "
+            "quotient past the bound of 1000") in err
+
+
 def test_environment_does_not_reach_the_parser(monkeypatch, capsys):
     monkeypatch.setenv("MONOVAR_WORKERS", "abc")
     code, out, _ = run(capsys, "decompose", "xyx")

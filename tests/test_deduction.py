@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,6 +26,7 @@ from monovar.words import (
     Word,
     iter_matches,
     iter_words,
+    letter_key,
     parse_identity,
     parse_word,
     substitute,
@@ -260,8 +263,108 @@ def test_successors_match_the_per_factor_search(name):
     words = list(iter_words((L("x"), L("y"), L("z")), 4))
     assert len(words) == 121
     for w in words:
-        assert (deduction._successors(w, system, 6)
-                == successors_by_factor(w, system, 6)), w
+        found = deduction._successors(w.letters, system, 6)
+        applied = sorted(
+            ((Word(nxt), step(ident, {l: Word(image) for l, image in xi.items()},
+                              w[:i], w[j:]))
+             for nxt, (ident, i, j, xi) in found.items()),
+            key=lambda item: item[0].sort_key())
+        assert applied == successors_by_factor(w, system, 6), w
+
+
+# The slow reference for bounded_derive: a plain breadth-first search over
+# Words, with successors from successors_by_factor, the system in the
+# search's order, the first reach recorded and each frontier sorted.
+
+def reference_derive(system, goal, max_len, max_steps):
+    system = sorted(set(system),
+                    key=lambda i: (i.lhs.sort_key(), i.rhs.sort_key()))
+    start, target = goal.lhs, goal.rhs
+    if start == target:
+        return Deduction((start,))
+    if max(len(start), len(target)) > max_len:
+        return None
+    reached = {start: None}
+    frontier = [start]
+    for _ in range(max_steps):
+        new = []
+        for cur in frontier:
+            for nxt, st in successors_by_factor(cur, system, max_len):
+                if nxt not in reached:
+                    reached[nxt] = (cur, st)
+                    new.append(nxt)
+        if target in reached:
+            words, steps = [target], []
+            while reached[words[-1]] is not None:
+                prev, st = reached[words[-1]]
+                words.append(prev)
+                steps.append(st)
+            return Deduction(tuple(reversed(words)), tuple(reversed(steps)))
+        frontier = sorted(new, key=Word.sort_key)
+    return None
+
+
+def seeded_goals(rng, name):
+    """One goal one application away, and one that changes a letter's
+    class between simple and repeated, which no system here can do."""
+    system = identity_system(name)
+    alphabet = [L("x"), L("y"), L("z")][:rng.randint(2, 3)]
+
+    def word(n):
+        return Word(rng.choice(alphabet) for _ in range(n))
+
+    while True:
+        ident = rng.choice(system)
+        source, target = rng.sample([ident.lhs, ident.rhs], 2)
+        xi = {l: word(rng.choice((1, 1, 2)))
+              for l in sorted(ident.content(), key=letter_key)}
+        a, b = word(rng.randint(0, 1)), word(rng.randint(0, 1))
+        u = a + substitute(source, xi) + b
+        v = a + substitute(target, xi) + b
+        if u != v and max(len(u), len(v)) <= 8:
+            break
+    u2 = word(5)
+    letter = rng.choice(sorted(u2.content(), key=letter_key))
+    first = u2.letters.index(letter)
+    v2 = (u2[:first] + Word([letter]) + u2[first:] if u2.occ(letter) == 1
+          else u2[:first + 1] + u2[first + 1:].delete([letter]))
+    return [(Identity(u, v), max(len(u), len(v)) + 1, 2, 1),
+            (Identity(u2, v2), 6, 2, None)]
+
+
+def test_bounded_derive_matches_the_plain_search():
+    rng = random.Random(2301)
+    goals = [("phi", IDENTITY_20, 7, 6, 3)]
+    for name in ("phi", "phi+", "sigma"):
+        for _ in range(4):
+            goals += [(name, *goal) for goal in seeded_goals(rng, name)]
+    assert len(goals) == 25
+    for name, goal, max_len, max_steps, steps in goals:
+        system = identity_system(name)
+        got = bounded_derive(system, goal, max_len, max_steps)
+        want = reference_derive(system, goal, max_len, max_steps)
+        assert (got is None) == (want is None) == (steps is None), goal
+        if got is not None:
+            assert len(got) == steps, goal
+            assert format_deduction(got) == format_deduction(want), goal
+
+
+def test_a_search_builds_steps_only_on_its_path(monkeypatch):
+    built = []
+
+    def counting(*args, **kwargs):
+        built.append(args[0])
+        return step(*args, **kwargs)
+
+    monkeypatch.setattr(deduction, "step", counting)
+    # the README goal builds the three steps of its derivation only
+    d = bounded_derive(PHI, IDENTITY_20, 7, 6)
+    assert len(d) == 3 and len(built) == 3
+    built.clear()
+    # an exhausted search, which reaches hundreds of words, builds none
+    assert bounded_derive(identity_system("phi+"), pi("xyzxy = yxzxy"),
+                          8, 5) is None
+    assert built == []
 
 
 def test_successors_search_once_per_identity_side(monkeypatch):
@@ -273,7 +376,7 @@ def test_successors_search_once_per_identity_side(monkeypatch):
 
     monkeypatch.setattr(deduction, "iter_matches", counting)
     system = identity_system("phi+")
-    deduction._successors(pw("xyxzyx"), system, 8)
+    deduction._successors(pw("xyxzyx").letters, system, 8)
     # one run per side of each of the 5 identities, every start in it
     assert calls == [side.letters for ident in system
                      for side in (ident.lhs, ident.rhs)]
@@ -289,6 +392,6 @@ def test_successors_skip_the_collapsing_letters_empty_images(monkeypatch):
             yield match
 
     monkeypatch.setattr(deduction, "iter_matches", counting)
-    deduction._successors(pw("xyxzyx"), identity_system("phi+"), 8)
+    deduction._successors(pw("xyxzyx").letters, identity_system("phi+"), 8)
     # 527 without the pruning, almost all of them giving back xyxzyx
     assert len(yielded) == 17

@@ -27,6 +27,7 @@ from monovar.monoids import (
 from monovar.words import (
     Identity,
     L,
+    Letter,
     Word,
     collapsing_letters,
     identity,
@@ -84,6 +85,23 @@ def test_rees_quotient_structure():
     assert m.mul(i["xy"], i["xy"]) == i["0"]
     assert m.letter_index(L("x")) == i["x"]
     assert m.letter_index(L("q")) == m.zero_index
+
+
+def test_rees_quotient_and_its_check_are_bounded():
+    # x^44 has 990 factors, x^45 has 1,035; two generators count together
+    assert len(ReesQuotient(parse_word("x^44"))) == 46
+    with pytest.raises(ValueError, match="1035 factors in all"):
+        ReesQuotient(parse_word("x^45"))
+    assert len(ReesQuotient(parse_word("x^44"), parse_word("x^4"))) == 46
+    with pytest.raises(ValueError, match="1001 factors in all"):
+        ReesQuotient(parse_word("x^44"), parse_word("x^4"), parse_word("x"))
+    # D5's word, the largest quotient in use: 45 factors, 43 elements
+    assert len(ReesQuotient(d_oracle_word(5))) == 43
+    # 21 distinct letters: 233 elements, 233**3 products, refused at once
+    letters = ReesQuotient(Word(Letter("x", i) for i in range(21)))
+    assert len(letters) == 233
+    with pytest.raises(ValueError, match=r"233\*\*3 products; the bound"):
+        letters.check()
 
 
 @given(st.lists(st.sampled_from([L("x"), L("y"), L("z")]), min_size=1, max_size=4).map(Word))
